@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the hot kernels underneath
 // DisMASTD: sparse MTTKRP (the bottleneck operator, §IV-B1), Khatri-Rao and
-// Gram products, the R x R Cholesky normal-equation solve, the GTP/MTP
-// partitioners, and a whole simulated distributed step.
+// Gram products, the R x R Cholesky normal-equation solve, the row-batched
+// update kernels next to the per-row calls they replace (ns_per_row at
+// R = 10), the GTP/MTP partitioners, and a whole simulated distributed step.
 //
 // Run with --threads N to set the execution engine's thread count for
 // BM_DisMastdStep (0 = all cores); compare --threads 1 vs --threads 8 to
@@ -123,6 +124,142 @@ void BM_NormalEquationSolve(benchmark::State& state) {
   state.SetItemsProcessed(state.range(0) * state.iterations());
 }
 BENCHMARK(BM_NormalEquationSolve)->Arg(1000)->Arg(10000);
+
+// ---------------------------------------------------------------------------
+// Row-batched update kernels next to the per-row calls they replace, at the
+// paper's R = 10 over a 6400-row partition (the size of one Netflix-mimic
+// mode-0 part at 15 workers). Each reports ns_per_row. Arg 0 runs the
+// per-row form, arg 1 the batched kernel; both produce the same bits.
+
+constexpr size_t kRowBenchRank = 10;
+constexpr size_t kRowBenchRows = 6400;
+
+void SetNsPerRow(benchmark::State& state, size_t rows) {
+  state.counters["ns_per_row"] = benchmark::Counter(
+      static_cast<double>(rows) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetItemsProcessed(static_cast<int64_t>(rows) * state.iterations());
+}
+
+void BM_RowNumerator(benchmark::State& state) {
+  // μ Ã[r,:]·had_h: 10 strided dots per row vs one row_times_matrix call.
+  const kernels::KernelTable& kern = kernels::Get();
+  const bool batched = state.range(0) != 0;
+  const size_t rank = kRowBenchRank;
+  Rng rng(21);
+  const Matrix prev = Matrix::Random(kRowBenchRows, rank, rng);
+  const Matrix had_h = Matrix::Random(rank, rank, rng);
+  Matrix out(kRowBenchRows, rank);
+  for (auto _ : state) {
+    for (size_t r = 0; r < kRowBenchRows; ++r) {
+      double* o = out.RowPtr(r);
+      if (batched) {
+        kern.row_times_matrix(prev.RowPtr(r), had_h.data(), rank, o);
+      } else {
+        for (size_t c = 0; c < rank; ++c) {
+          o[c] = kern.dot_strided(prev.RowPtr(r), 1, had_h.data() + c, rank,
+                                  rank);
+        }
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  SetNsPerRow(state, kRowBenchRows);
+}
+BENCHMARK(BM_RowNumerator)->Arg(0)->Arg(1);
+
+void BM_RowSolve(benchmark::State& state) {
+  // Forward/back substitution against a shared Cholesky factor: one
+  // cholesky_solve_rows call per row vs one call for the whole partition.
+  const kernels::KernelTable& kern = kernels::Get();
+  const bool batched = state.range(0) != 0;
+  const size_t rank = kRowBenchRank;
+  Rng rng(22);
+  const Matrix basis = Matrix::Random(rank + 8, rank, rng);
+  Matrix lower;
+  DISMASTD_CHECK_OK(CholeskyFactor(TransposeTimes(basis, basis), &lower));
+  const Matrix rhs = Matrix::Random(kRowBenchRows, rank, rng);
+  Matrix out(kRowBenchRows, rank);
+  for (auto _ : state) {
+    if (batched) {
+      kern.cholesky_solve_rows(lower.data(), rank, rhs.data(), kRowBenchRows,
+                               out.data());
+    } else {
+      for (size_t r = 0; r < kRowBenchRows; ++r) {
+        kern.cholesky_solve_rows(lower.data(), rank, rhs.RowPtr(r), 1,
+                                 out.RowPtr(r));
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  SetNsPerRow(state, kRowBenchRows);
+}
+BENCHMARK(BM_RowSolve)->Arg(0)->Arg(1);
+
+void BM_RowGram(benchmark::State& state) {
+  // Gram + cross-Gram partials: two one-row gram_update_rows calls per row
+  // vs two calls for the whole partition.
+  const kernels::KernelTable& kern = kernels::Get();
+  const bool batched = state.range(0) != 0;
+  const size_t rank = kRowBenchRank;
+  Rng rng(23);
+  const Matrix a = Matrix::Random(kRowBenchRows, rank, rng);
+  const Matrix p = Matrix::Random(kRowBenchRows, rank, rng);
+  std::vector<uint64_t> rows(kRowBenchRows);
+  for (size_t r = 0; r < kRowBenchRows; ++r) rows[r] = r;
+  Matrix g(rank, rank), h(rank, rank);
+  for (auto _ : state) {
+    if (batched) {
+      kern.gram_update_rows(a.data(), a.data(), rows.data(), rows.size(),
+                            rank, g.data());
+      kern.gram_update_rows(p.data(), a.data(), rows.data(), rows.size(),
+                            rank, h.data());
+    } else {
+      for (const uint64_t& r : rows) {
+        kern.gram_update_rows(a.data(), a.data(), &r, 1, rank, g.data());
+        kern.gram_update_rows(p.data(), a.data(), &r, 1, rank, h.data());
+      }
+    }
+    benchmark::DoNotOptimize(g.data());
+    benchmark::DoNotOptimize(h.data());
+  }
+  SetNsPerRow(state, kRowBenchRows);
+}
+BENCHMARK(BM_RowGram)->Arg(0)->Arg(1);
+
+void BM_RowGroupedMttkrp(benchmark::State& state) {
+  // Row-grouped MTTKRP (entries sorted by output row, Zipf row sizes): one
+  // single-entry mttkrp_coo call per non-zero vs one call for the run.
+  // ns_per_row here is per non-zero.
+  const kernels::KernelTable& kern = kernels::Get();
+  const bool batched = state.range(0) != 0;
+  const size_t rank = kRowBenchRank;
+  SparseTensor tensor = MakeTensor(100000);
+  tensor.SortLexicographic();
+  Rng rng(24);
+  std::vector<Matrix> factors;
+  std::vector<const double*> data;
+  for (uint64_t d : tensor.dims()) {
+    factors.push_back(Matrix::Random(static_cast<size_t>(d), rank, rng));
+  }
+  for (const Matrix& f : factors) data.push_back(f.data());
+  Matrix out(static_cast<size_t>(tensor.dim(0)), rank);
+  const size_t nnz = tensor.nnz();
+  for (auto _ : state) {
+    if (batched) {
+      kern.mttkrp_coo(tensor.IndexTuple(0), tensor.ValuePtr(0), nnz, 3, 0,
+                      data.data(), rank, out.data());
+    } else {
+      for (size_t e = 0; e < nnz; ++e) {
+        kern.mttkrp_coo(tensor.IndexTuple(e), tensor.ValuePtr(e), 1, 3, 0,
+                        data.data(), rank, out.data());
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  SetNsPerRow(state, nnz);
+}
+BENCHMARK(BM_RowGroupedMttkrp)->Arg(0)->Arg(1);
 
 void BM_Partitioner(benchmark::State& state) {
   const size_t slices = static_cast<size_t>(state.range(0));
@@ -295,20 +432,21 @@ int RunKernelSweep(const std::string& path, const std::string& bench_out) {
   report.AddMetric("gb_per_s", "GB/s", "info");
   Rng rng(99);
 
-  // MTTKRP inputs: one synthetic 3-mode non-zero stream — two non-target
-  // factor rows and one accumulator row per element.
+  // MTTKRP inputs: one synthetic, unsorted 3-mode COO stream — per
+  // non-zero, a random accumulator row (mode 0) and two random non-target
+  // factor rows.
   constexpr size_t kMttkrpItems = 1 << 20;
   constexpr size_t kSideRows = 4096;
   const Matrix fa = Matrix::Random(kSideRows, kRank, rng);
   const Matrix fb = Matrix::Random(kSideRows, kRank, rng);
   Matrix out(kSideRows, kRank);
-  std::vector<std::array<const double*, 2>> nnz_rows(kMttkrpItems);
-  std::vector<const double*> out_rows(kMttkrpItems);
+  const double* nnz_factors[3] = {nullptr, fa.data(), fb.data()};
+  std::vector<uint64_t> nnz_indices(kMttkrpItems * 3);
   std::vector<double> nnz_values(kMttkrpItems);
   for (size_t i = 0; i < kMttkrpItems; ++i) {
-    nnz_rows[i] = {fa.RowPtr(rng.NextBounded(kSideRows)),
-                   fb.RowPtr(rng.NextBounded(kSideRows))};
-    out_rows[i] = out.RowPtr(rng.NextBounded(kSideRows));
+    for (size_t m = 0; m < 3; ++m) {
+      nnz_indices[i * 3 + m] = rng.NextBounded(kSideRows);
+    }
     nnz_values[i] = rng.NextDouble(-1.0, 1.0);
   }
 
@@ -338,15 +476,16 @@ int RunKernelSweep(const std::string& path, const std::string& bench_out) {
       out.Fill(0.0);
       constexpr size_t kReps = 4;
       const double secs = TimeSeconds(kReps, [&] {
-        for (size_t i = 0; i < kMttkrpItems; ++i) {
-          kern.mttkrp_row(nnz_values[i], nnz_rows[i].data(), 2, kRank,
-                          const_cast<double*>(out_rows[i]));
-        }
+        kern.mttkrp_coo(nnz_indices.data(), nnz_values.data(), kMttkrpItems,
+                        3, 0, nnz_factors, kRank, out.data());
         benchmark::DoNotOptimize(out.data());
       });
       const double items = static_cast<double>(kMttkrpItems) * kReps;
-      // Two factor-row reads plus an accumulator read-modify-write.
-      const double bytes = items * 4.0 * kRank * sizeof(double);
+      // Two factor-row reads plus an accumulator read-modify-write, and the
+      // entry's three indices and value.
+      const double bytes =
+          items * (4.0 * kRank * sizeof(double) + 3 * sizeof(uint64_t) +
+                   sizeof(double));
       EmitSweepRow(csv, &report, "mttkrp", backend, "f64", kRank, items, secs, bytes);
     }
 

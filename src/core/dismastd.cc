@@ -52,6 +52,38 @@ std::vector<std::vector<uint64_t>> RowsOfParts(const ModePartition& partition) {
   return rows;
 }
 
+/// Number of leading entries of the ascending `rows` below `old_rows`:
+/// the rows that existed in the previous snapshot.
+size_t OldRowCount(const std::vector<uint64_t>& rows, size_t old_rows) {
+  return static_cast<size_t>(
+      std::lower_bound(rows.begin(), rows.end(),
+                       static_cast<uint64_t>(old_rows)) -
+      rows.begin());
+}
+
+/// How many rows ahead the gathers and scatters over a partition's rows
+/// prefetch. A partition's rows are scattered over the factor (MTP assigns
+/// slices by load), so on the skewed Netflix mimic these loads miss cache.
+constexpr size_t kRowPrefetch = 8;
+
+/// Hints the cache to load row r of `m` (its first and last element).
+void PrefetchRow(const Matrix& m, uint64_t r) {
+  const double* row = m.RowPtr(static_cast<size_t>(r));
+  __builtin_prefetch(row);
+  __builtin_prefetch(row + (m.cols() > 0 ? m.cols() - 1 : 0));
+}
+
+/// Writes row i of `solved` to row rows[i] of `factor`.
+void ScatterRows(const Matrix& solved, const uint64_t* rows, Matrix* factor) {
+  for (size_t i = 0; i < solved.rows(); ++i) {
+    if (i + kRowPrefetch < solved.rows()) {
+      PrefetchRow(*factor, rows[i + kRowPrefetch]);
+    }
+    std::copy(solved.RowPtr(i), solved.RowPtr(i) + solved.cols(),
+              factor->RowPtr(static_cast<size_t>(rows[i])));
+  }
+}
+
 }  // namespace
 
 // Parallel execution layout: every per-worker compute step below runs
@@ -441,52 +473,55 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
       });
 
       // Row-wise factor update (Eq. 5) on each owner partition. Each
-      // worker rewrites only the factor rows its partitions own.
+      // worker rewrites only the factor rows its partitions own. The two
+      // R x R systems (old rows: denom0, new rows: had_g01) are factored
+      // once here — ridge retry and zero fallback included — and shared by
+      // every partition; the replicated inputs make that identical to
+      // factoring them on every worker.
       const Matrix denom0 =
           LinearCombine(1.0, had_g01, -(1.0 - mu), had_g0);
+      const bool any_new_rows = factors[n].rows() > old_rows;
+      const FactoredNormalEquations old_system =
+          old_rows > 0 ? FactorNormalEquations(denom0)
+                       : FactoredNormalEquations();
+      const FactoredNormalEquations new_system =
+          any_new_rows ? FactorNormalEquations(had_g01)
+                       : FactoredNormalEquations();
       exec.Run(&acct, [&](uint32_t w, SuperstepAccounting& shard) {
         for (uint32_t q = w; q < parts; q += workers) {
           const auto& rows = rows_of_part[n][q];
           if (rows.empty()) continue;
-          // Gather this partition's numerator rows, split old/new.
-          std::vector<uint64_t> rows_old, rows_new;
-          for (uint64_t r : rows) {
-            (static_cast<size_t>(r) < old_rows ? rows_old : rows_new)
-                .push_back(r);
-          }
-          if (!rows_old.empty()) {
-            Matrix numerator(rows_old.size(), rank);
-            for (size_t i = 0; i < rows_old.size(); ++i) {
-              const size_t r = static_cast<size_t>(rows_old[i]);
-              const double* prow = prev.factor(n).RowPtr(r);
-              double* out = numerator.RowPtr(i);
-              // numerator = μ Ã[r,:]·had_h + Â[r,:]
-              for (size_t c = 0; c < rank; ++c) {
-                const double acc =
-                    kern.dot_strided(prow, 1, had_h.data() + c, rank, rank);
-                out[c] = mu * acc + mttkrp(r, c);
+          // rows ascend, so the old rows (< old_rows) are a prefix.
+          const size_t split = OldRowCount(rows, old_rows);
+          if (split > 0) {
+            // numerator = μ Ã[r,:]·had_h + Â[r,:]
+            Matrix numerator(split, rank);
+            for (size_t i = 0; i < split; ++i) {
+              if (i + kRowPrefetch < split) {
+                PrefetchRow(prev.factor(n), rows[i + kRowPrefetch]);
+                PrefetchRow(mttkrp, rows[i + kRowPrefetch]);
               }
+              const size_t r = static_cast<size_t>(rows[i]);
+              double* out = numerator.RowPtr(i);
+              kern.row_times_matrix(prev.factor(n).RowPtr(r), had_h.data(),
+                                    rank, out);
+              const double* m = mttkrp.RowPtr(r);
+              for (size_t c = 0; c < rank; ++c) out[c] = mu * out[c] + m[c];
             }
-            const Matrix updated =
-                SolveNormalEquationsRows(denom0, numerator);
-            for (size_t i = 0; i < rows_old.size(); ++i) {
-              std::copy(updated.RowPtr(i), updated.RowPtr(i) + rank,
-                        factors[n].RowPtr(static_cast<size_t>(rows_old[i])));
-            }
+            SolveFactoredRowsInPlace(old_system, &numerator);
+            ScatterRows(numerator, rows.data(), &factors[n]);
           }
-          if (!rows_new.empty()) {
-            Matrix numerator(rows_new.size(), rank);
-            for (size_t i = 0; i < rows_new.size(); ++i) {
-              const size_t r = static_cast<size_t>(rows_new[i]);
-              std::copy(mttkrp.RowPtr(r), mttkrp.RowPtr(r) + rank,
-                        numerator.RowPtr(i));
+          if (split < rows.size()) {
+            Matrix numerator(rows.size() - split, rank);
+            for (size_t i = split; i < rows.size(); ++i) {
+              if (i + kRowPrefetch < rows.size()) {
+                PrefetchRow(mttkrp, rows[i + kRowPrefetch]);
+              }
+              const double* m = mttkrp.RowPtr(static_cast<size_t>(rows[i]));
+              std::copy(m, m + rank, numerator.RowPtr(i - split));
             }
-            const Matrix updated =
-                SolveNormalEquationsRows(had_g01, numerator);
-            for (size_t i = 0; i < rows_new.size(); ++i) {
-              std::copy(updated.RowPtr(i), updated.RowPtr(i) + rank,
-                        factors[n].RowPtr(static_cast<size_t>(rows_new[i])));
-            }
+            SolveFactoredRowsInPlace(new_system, &numerator);
+            ScatterRows(numerator, rows.data() + split, &factors[n]);
           }
           shard.AddTask(w, rows.size() * 4 * rank * rank +
                                rank * rank * rank);
@@ -505,22 +540,20 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
       std::vector<Matrix> p_g1(workers, Matrix(rank, rank));
       std::vector<Matrix> p_h(workers, Matrix(rank, rank));
       exec.Run(&reduce_acct, [&](uint32_t w, SuperstepAccounting& shard) {
+        const double* a = factors[n].data();
         for (uint32_t q = w; q < parts; q += workers) {
-          uint64_t gram_flops = 0;
-          for (uint64_t row : rows_of_part[n][q]) {
-            const size_t r = static_cast<size_t>(row);
-            const double* arow = factors[n].RowPtr(r);
-            if (r < old_rows) {
-              const double* prow = prev.factor(n).RowPtr(r);
-              kern.gram_rank_update(arow, arow, rank, p_g0[w].data());
-              kern.gram_rank_update(prow, arow, rank, p_h[w].data());
-              gram_flops += 2 * rank * rank;
-            } else {
-              kern.gram_rank_update(arow, arow, rank, p_g1[w].data());
-              gram_flops += rank * rank;
-            }
+          const auto& rows = rows_of_part[n][q];
+          const size_t split = OldRowCount(rows, old_rows);
+          if (split > 0) {
+            const double* p = prev.factor(n).data();
+            kern.gram_update_rows(a, a, rows.data(), split, rank,
+                                  p_g0[w].data());
+            kern.gram_update_rows(p, a, rows.data(), split, rank,
+                                  p_h[w].data());
           }
-          shard.AddTask(w, gram_flops);
+          kern.gram_update_rows(a, a, rows.data() + split, rows.size() - split,
+                                rank, p_g1[w].data());
+          shard.AddTask(w, (2 * split + (rows.size() - split)) * rank * rank);
         }
       });
       g0[n] = cluster.AllToAllReduceMatrix(p_g0, &reduce_acct);

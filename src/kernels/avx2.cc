@@ -11,27 +11,12 @@
 #if defined(__AVX2__)
 #include <immintrin.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace dismastd {
 namespace kernels {
 namespace {
-
-void MttkrpRowAvx2(double value, const double* const* rows, size_t num_rows,
-                   size_t rank, double* out) {
-  const size_t r4 = rank & ~static_cast<size_t>(3);
-  size_t f = 0;
-  for (; f < r4; f += 4) {
-    __m256d v = _mm256_set1_pd(value);
-    for (size_t m = 0; m < num_rows; ++m) {
-      v = _mm256_mul_pd(v, _mm256_loadu_pd(rows[m] + f));
-    }
-    _mm256_storeu_pd(out + f, _mm256_add_pd(_mm256_loadu_pd(out + f), v));
-  }
-  for (; f < rank; ++f) {
-    double v = value;
-    for (size_t m = 0; m < num_rows; ++m) v *= rows[m][f];
-    out[f] += v;
-  }
-}
 
 void HadamardCombineAvx2(const double* const* rows, size_t num_rows,
                          size_t rank, double* out) {
@@ -51,20 +36,247 @@ void HadamardCombineAvx2(const double* const* rows, size_t num_rows,
   }
 }
 
-void GramRankUpdateAvx2(const double* x, const double* y, size_t rank,
-                        double* out) {
-  const size_t r4 = rank & ~static_cast<size_t>(3);
-  for (size_t i = 0; i < rank; ++i) {
-    const double xi = x[i];
-    const __m256d vx = _mm256_set1_pd(xi);
-    double* row = out + i * rank;
-    size_t j = 0;
-    for (; j < r4; j += 4) {
-      const __m256d prod = _mm256_mul_pd(vx, _mm256_loadu_pd(y + j));
-      _mm256_storeu_pd(row + j,
-                       _mm256_add_pd(_mm256_loadu_pd(row + j), prod));
+/// Column block [f, min(f + 4, rank)) of a row: full blocks use plain
+/// loads/stores, the last block masks off the columns past `rank`, so the
+/// remainder runs through the same vector code (masked lanes are neither
+/// loaded nor stored, and the active lanes see exactly the scalar ops).
+struct ColumnBlock {
+  ColumnBlock(size_t f, size_t rank)
+      : full(rank - f >= 4),
+        mask(_mm256_set_epi64x(rank - f > 3 ? -1 : 0, rank - f > 2 ? -1 : 0,
+                               rank - f > 1 ? -1 : 0, -1)) {}
+  __m256d Load(const double* p) const {
+    return full ? _mm256_loadu_pd(p) : _mm256_maskload_pd(p, mask);
+  }
+  void Store(double* p, __m256d v) const {
+    if (full) {
+      _mm256_storeu_pd(p, v);
+    } else {
+      _mm256_maskstore_pd(p, mask, v);
     }
-    for (; j < rank; ++j) row[j] += xi * y[j];
+  }
+  bool full;
+  __m256i mask;
+};
+
+void MttkrpCooAvx2(const uint64_t* indices, const double* values,
+                   size_t nnz, size_t order, size_t mode,
+                   const double* const* factors, size_t rank, double* out) {
+  // Eight columns per pass over the entries: two 4-lane accumulators, the
+  // second (or both) masked down to the columns left.
+  for (size_t f = 0; f < rank; f += 8) {
+    const ColumnBlock block0(f, rank);
+    const bool has_hi = f + 4 < rank;
+    const ColumnBlock block1(has_hi ? f + 4 : f, rank);
+    double* row = nullptr;
+    __m256d acc0 = _mm256_setzero_pd();
+    __m256d acc1 = _mm256_setzero_pd();
+    for (size_t e = 0; e < nnz; ++e) {
+      const uint64_t* idx = indices + e * order;
+      double* target = out + idx[mode] * rank + f;
+      if (target != row) {
+        if (row != nullptr) {
+          block0.Store(row, acc0);
+          if (has_hi) block1.Store(row + 4, acc1);
+        }
+        row = target;
+        acc0 = block0.Load(row);
+        if (has_hi) acc1 = block1.Load(row + 4);
+      }
+      __m256d v0 = _mm256_set1_pd(values[e]);
+      __m256d v1 = v0;
+      for (size_t m = 0; m < order; ++m) {
+        if (m == mode) continue;
+        const double* src = factors[m] + idx[m] * rank + f;
+        v0 = _mm256_mul_pd(v0, block0.Load(src));
+        if (has_hi) v1 = _mm256_mul_pd(v1, block1.Load(src + 4));
+      }
+      acc0 = _mm256_add_pd(acc0, v0);
+      acc1 = _mm256_add_pd(acc1, v1);
+    }
+    if (row != nullptr) {
+      block0.Store(row, acc0);
+      if (has_hi) block1.Store(row + 4, acc1);
+    }
+  }
+}
+
+/// Adds rows [j0, j1) into output rows [i0, i0 + kRows), columns
+/// [c, c + 8) (lanes past `rank` masked off): 2 * kRows independent
+/// accumulator chains, each seeing its additions in row order.
+template <size_t kRows>
+inline void GramTileAvx2(const double* x, const double* y,
+                         const uint64_t* rows, size_t j0, size_t j1,
+                         size_t rank, size_t i0, size_t c, double* out) {
+  const ColumnBlock block0(c, rank);
+  const bool has_hi = c + 4 < rank;
+  const ColumnBlock block1(has_hi ? c + 4 : c, rank);
+  __m256d acc0[kRows], acc1[kRows];
+  for (size_t u = 0; u < kRows; ++u) {
+    acc0[u] = block0.Load(out + (i0 + u) * rank + c);
+    acc1[u] = has_hi ? block1.Load(out + (i0 + u) * rank + c + 4)
+                     : _mm256_setzero_pd();
+  }
+  for (size_t j = j0; j < j1; ++j) {
+    const size_t base = rows[j] * rank;
+    const __m256d y0 = block0.Load(y + base + c);
+    const __m256d y1 =
+        has_hi ? block1.Load(y + base + c + 4) : _mm256_setzero_pd();
+    for (size_t u = 0; u < kRows; ++u) {
+      const __m256d xb = _mm256_set1_pd(x[base + i0 + u]);
+      acc0[u] = _mm256_add_pd(acc0[u], _mm256_mul_pd(xb, y0));
+      acc1[u] = _mm256_add_pd(acc1[u], _mm256_mul_pd(xb, y1));
+    }
+  }
+  for (size_t u = 0; u < kRows; ++u) {
+    block0.Store(out + (i0 + u) * rank + c, acc0[u]);
+    if (has_hi) block1.Store(out + (i0 + u) * rank + c + 4, acc1[u]);
+  }
+}
+
+void GramUpdateRowsAvx2(const double* x, const double* y,
+                        const uint64_t* rows, size_t num_rows, size_t rank,
+                        double* out) {
+  // Tiles of 4 output rows x 8 columns run over a cache-resident block of
+  // input rows with their accumulators in registers.
+  constexpr size_t kRowBlock = 128;
+  for (size_t j0 = 0; j0 < num_rows; j0 += kRowBlock) {
+    const size_t j1 = std::min(num_rows, j0 + kRowBlock);
+    for (size_t c = 0; c < rank; c += 8) {
+      for (size_t i0 = 0; i0 < rank; i0 += 4) {
+        switch (std::min<size_t>(4, rank - i0)) {
+          case 4:
+            GramTileAvx2<4>(x, y, rows, j0, j1, rank, i0, c, out);
+            break;
+          case 3:
+            GramTileAvx2<3>(x, y, rows, j0, j1, rank, i0, c, out);
+            break;
+          case 2:
+            GramTileAvx2<2>(x, y, rows, j0, j1, rank, i0, c, out);
+            break;
+          default:
+            GramTileAvx2<1>(x, y, rows, j0, j1, rank, i0, c, out);
+            break;
+        }
+      }
+    }
+  }
+}
+
+void RowTimesMatrixAvx2(const double* x, const double* m, size_t rank,
+                        double* out) {
+  const size_t n8 = rank & ~static_cast<size_t>(7);
+  for (size_t c = 0; c < rank; c += 4) {
+    const ColumnBlock block(c, rank);
+    // p[l] holds blocked-8 partial l of four columns at once.
+    __m256d p[8];
+    for (__m256d& lane : p) lane = _mm256_setzero_pd();
+    for (size_t i = 0; i < n8; i += 8) {
+      for (size_t l = 0; l < 8; ++l) {
+        p[l] = _mm256_add_pd(
+            p[l], _mm256_mul_pd(_mm256_set1_pd(x[i + l]),
+                                block.Load(m + (i + l) * rank + c)));
+      }
+    }
+    // Tail element n8 + l folds into partial l. The constant-bound loop
+    // keeps every p[l] in a register.
+    for (size_t l = 0; l < 8; ++l) {
+      if (n8 + l < rank) {
+        p[l] = _mm256_add_pd(
+            p[l], _mm256_mul_pd(_mm256_set1_pd(x[n8 + l]),
+                                block.Load(m + (n8 + l) * rank + c)));
+      }
+    }
+    const __m256d q0 = _mm256_add_pd(p[0], p[4]);
+    const __m256d q1 = _mm256_add_pd(p[1], p[5]);
+    const __m256d q2 = _mm256_add_pd(p[2], p[6]);
+    const __m256d q3 = _mm256_add_pd(p[3], p[7]);
+    block.Store(out + c, _mm256_add_pd(_mm256_add_pd(q0, q2),
+                                       _mm256_add_pd(q1, q3)));
+  }
+}
+
+/// Solves rows [r0, r0 + width) (width <= 4 * kVecs) transposed into
+/// `lanes` (rank x 4 * kVecs): element i of every row is kVecs vectors, and
+/// lane l runs row l's forward/back substitution. kVecs independent chains
+/// hide the divider latency. Padded lanes are never written back.
+template <size_t kVecs>
+inline void CholeskySolveBlockAvx2(const double* lower, size_t rank,
+                                   const double* rhs, size_t width,
+                                   double* out, double* lanes) {
+  constexpr size_t kLanes = 4 * kVecs;
+  for (size_t i = 0; i < rank; ++i) {
+    for (size_t l = 0; l < kLanes; ++l) {
+      lanes[i * kLanes + l] = l < width ? rhs[l * rank + i] : 0.0;
+    }
+  }
+  for (size_t i = 0; i < rank; ++i) {
+    __m256d sum[kVecs];
+    for (size_t v = 0; v < kVecs; ++v) {
+      sum[v] = _mm256_loadu_pd(lanes + i * kLanes + 4 * v);
+    }
+    for (size_t k = 0; k < i; ++k) {
+      const __m256d lik = _mm256_set1_pd(lower[i * rank + k]);
+      for (size_t v = 0; v < kVecs; ++v) {
+        sum[v] = _mm256_sub_pd(
+            sum[v],
+            _mm256_mul_pd(lik, _mm256_loadu_pd(lanes + k * kLanes + 4 * v)));
+      }
+    }
+    const __m256d pivot = _mm256_set1_pd(lower[i * rank + i]);
+    for (size_t v = 0; v < kVecs; ++v) {
+      _mm256_storeu_pd(lanes + i * kLanes + 4 * v,
+                       _mm256_div_pd(sum[v], pivot));
+    }
+  }
+  for (size_t ii = rank; ii-- > 0;) {
+    __m256d sum[kVecs];
+    for (size_t v = 0; v < kVecs; ++v) {
+      sum[v] = _mm256_loadu_pd(lanes + ii * kLanes + 4 * v);
+    }
+    for (size_t k = ii + 1; k < rank; ++k) {
+      const __m256d lki = _mm256_set1_pd(lower[k * rank + ii]);
+      for (size_t v = 0; v < kVecs; ++v) {
+        sum[v] = _mm256_sub_pd(
+            sum[v],
+            _mm256_mul_pd(lki, _mm256_loadu_pd(lanes + k * kLanes + 4 * v)));
+      }
+    }
+    const __m256d pivot = _mm256_set1_pd(lower[ii * rank + ii]);
+    for (size_t v = 0; v < kVecs; ++v) {
+      _mm256_storeu_pd(lanes + ii * kLanes + 4 * v,
+                       _mm256_div_pd(sum[v], pivot));
+    }
+  }
+  for (size_t l = 0; l < width; ++l) {
+    for (size_t i = 0; i < rank; ++i) out[l * rank + i] = lanes[i * kLanes + l];
+  }
+}
+
+void CholeskySolveRowsAvx2(const double* lower, size_t rank,
+                           const double* rhs, size_t num_rows, double* out) {
+  // The transposed block lives on the stack up to kStackRank; larger
+  // systems borrow a heap buffer and run the same code.
+  constexpr size_t kStackRank = 64;
+  alignas(32) double stack_lanes[kStackRank * 8];
+  std::vector<double> heap_lanes;
+  double* lanes = stack_lanes;
+  if (rank > kStackRank) {
+    heap_lanes.resize(rank * 8);
+    lanes = heap_lanes.data();
+  }
+  for (size_t r0 = 0; r0 < num_rows;) {
+    const size_t left = num_rows - r0;
+    const double* src = rhs + r0 * rank;
+    double* dst = out + r0 * rank;
+    if (left > 4) {
+      const size_t width = std::min<size_t>(8, left);
+      CholeskySolveBlockAvx2<2>(lower, rank, src, width, dst, lanes);
+      r0 += width;
+    } else {
+      CholeskySolveBlockAvx2<1>(lower, rank, src, left, dst, lanes);
+      r0 += left;
+    }
   }
 }
 
@@ -227,9 +439,11 @@ const KernelTable& Avx2Kernels() {
   static const KernelTable table = [] {
     KernelTable t;
     t.backend = Backend::kAvx2;
-    t.mttkrp_row = MttkrpRowAvx2;
     t.hadamard_combine = HadamardCombineAvx2;
-    t.gram_rank_update = GramRankUpdateAvx2;
+    t.mttkrp_coo = MttkrpCooAvx2;
+    t.gram_update_rows = GramUpdateRowsAvx2;
+    t.row_times_matrix = RowTimesMatrixAvx2;
+    t.cholesky_solve_rows = CholeskySolveRowsAvx2;
     t.dot_strided = DotStridedAvx2;
     t.topk_score_block = TopKScoreBlockAvx2;
     t.f64_to_bf16 = F64ToBf16Plain;

@@ -10,6 +10,9 @@
 #if defined(__AVX512F__)
 #include <immintrin.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace dismastd {
 namespace kernels {
 namespace {
@@ -26,24 +29,6 @@ inline double ReduceWithTail(__m512d acc, const double* x, size_t incx,
     p[i - n8] += x[i * incx] * y[i * incy];
   }
   return detail::CombinePartials8(p);
-}
-
-void MttkrpRowAvx512(double value, const double* const* rows, size_t num_rows,
-                     size_t rank, double* out) {
-  const size_t r8 = rank & ~static_cast<size_t>(7);
-  size_t f = 0;
-  for (; f < r8; f += 8) {
-    __m512d v = _mm512_set1_pd(value);
-    for (size_t m = 0; m < num_rows; ++m) {
-      v = _mm512_mul_pd(v, _mm512_loadu_pd(rows[m] + f));
-    }
-    _mm512_storeu_pd(out + f, _mm512_add_pd(_mm512_loadu_pd(out + f), v));
-  }
-  for (; f < rank; ++f) {
-    double v = value;
-    for (size_t m = 0; m < num_rows; ++m) v *= rows[m][f];
-    out[f] += v;
-  }
 }
 
 void HadamardCombineAvx512(const double* const* rows, size_t num_rows,
@@ -64,20 +49,237 @@ void HadamardCombineAvx512(const double* const* rows, size_t num_rows,
   }
 }
 
-void GramRankUpdateAvx512(const double* x, const double* y, size_t rank,
-                          double* out) {
-  const size_t r8 = rank & ~static_cast<size_t>(7);
-  for (size_t i = 0; i < rank; ++i) {
-    const double xi = x[i];
-    const __m512d vx = _mm512_set1_pd(xi);
-    double* row = out + i * rank;
-    size_t j = 0;
-    for (; j < r8; j += 8) {
-      const __m512d prod = _mm512_mul_pd(vx, _mm512_loadu_pd(y + j));
-      _mm512_storeu_pd(row + j,
-                       _mm512_add_pd(_mm512_loadu_pd(row + j), prod));
+/// Lane mask covering columns [f, min(f + 8, rank)): full blocks use all
+/// eight lanes, the last block masks off the columns past `rank`, so the
+/// remainder runs through the same vector code (masked lanes are neither
+/// loaded nor stored, and the active lanes see exactly the scalar ops).
+inline __mmask8 ColumnMask(size_t f, size_t rank) {
+  const size_t left = rank - f;
+  return left >= 8 ? static_cast<__mmask8>(0xFF)
+                   : static_cast<__mmask8>((1u << left) - 1u);
+}
+
+void MttkrpCooAvx512(const uint64_t* indices, const double* values,
+                     size_t nnz, size_t order, size_t mode,
+                     const double* const* factors, size_t rank,
+                     double* out) {
+  // Sixteen columns per pass over the entries: two 8-lane accumulators,
+  // the second (or both) masked down to the columns left.
+  for (size_t f = 0; f < rank; f += 16) {
+    const __mmask8 mask0 = ColumnMask(f, rank);
+    const __mmask8 mask1 =
+        f + 8 < rank ? ColumnMask(f + 8, rank) : static_cast<__mmask8>(0);
+    double* row = nullptr;
+    __m512d acc0 = _mm512_setzero_pd();
+    __m512d acc1 = _mm512_setzero_pd();
+    for (size_t e = 0; e < nnz; ++e) {
+      const uint64_t* idx = indices + e * order;
+      double* target = out + idx[mode] * rank + f;
+      if (target != row) {
+        if (row != nullptr) {
+          _mm512_mask_storeu_pd(row, mask0, acc0);
+          _mm512_mask_storeu_pd(row + 8, mask1, acc1);
+        }
+        row = target;
+        acc0 = _mm512_maskz_loadu_pd(mask0, row);
+        acc1 = _mm512_maskz_loadu_pd(mask1, row + 8);
+      }
+      __m512d v0 = _mm512_set1_pd(values[e]);
+      __m512d v1 = v0;
+      for (size_t m = 0; m < order; ++m) {
+        if (m == mode) continue;
+        const double* src = factors[m] + idx[m] * rank + f;
+        v0 = _mm512_mul_pd(v0, _mm512_maskz_loadu_pd(mask0, src));
+        v1 = _mm512_mul_pd(v1, _mm512_maskz_loadu_pd(mask1, src + 8));
+      }
+      acc0 = _mm512_add_pd(acc0, v0);
+      acc1 = _mm512_add_pd(acc1, v1);
     }
-    for (; j < rank; ++j) row[j] += xi * y[j];
+    if (row != nullptr) {
+      _mm512_mask_storeu_pd(row, mask0, acc0);
+      _mm512_mask_storeu_pd(row + 8, mask1, acc1);
+    }
+  }
+}
+
+/// Adds rows [j0, j1) into output rows [i0, i0 + kRows), columns
+/// [c, c + 16) (lanes past `rank` masked off): 2 * kRows independent
+/// accumulator chains, each seeing its additions in row order.
+template <size_t kRows>
+inline void GramTileAvx512(const double* x, const double* y,
+                           const uint64_t* rows, size_t j0, size_t j1,
+                           size_t rank, size_t i0, size_t c, double* out) {
+  const __mmask8 mask0 = ColumnMask(c, rank);
+  const __mmask8 mask1 =
+      c + 8 < rank ? ColumnMask(c + 8, rank) : static_cast<__mmask8>(0);
+  __m512d acc0[kRows], acc1[kRows];
+  for (size_t u = 0; u < kRows; ++u) {
+    acc0[u] = _mm512_maskz_loadu_pd(mask0, out + (i0 + u) * rank + c);
+    acc1[u] = _mm512_maskz_loadu_pd(mask1, out + (i0 + u) * rank + c + 8);
+  }
+  for (size_t j = j0; j < j1; ++j) {
+    const size_t base = rows[j] * rank;
+    const __m512d y0 = _mm512_maskz_loadu_pd(mask0, y + base + c);
+    const __m512d y1 = _mm512_maskz_loadu_pd(mask1, y + base + c + 8);
+    for (size_t u = 0; u < kRows; ++u) {
+      const __m512d xb = _mm512_set1_pd(x[base + i0 + u]);
+      acc0[u] = _mm512_add_pd(acc0[u], _mm512_mul_pd(xb, y0));
+      acc1[u] = _mm512_add_pd(acc1[u], _mm512_mul_pd(xb, y1));
+    }
+  }
+  for (size_t u = 0; u < kRows; ++u) {
+    _mm512_mask_storeu_pd(out + (i0 + u) * rank + c, mask0, acc0[u]);
+    _mm512_mask_storeu_pd(out + (i0 + u) * rank + c + 8, mask1, acc1[u]);
+  }
+}
+
+void GramUpdateRowsAvx512(const double* x, const double* y,
+                          const uint64_t* rows, size_t num_rows, size_t rank,
+                          double* out) {
+  // Tiles of 4 output rows x 16 columns run over a cache-resident block of
+  // input rows with their accumulators in registers.
+  constexpr size_t kRowBlock = 128;
+  for (size_t j0 = 0; j0 < num_rows; j0 += kRowBlock) {
+    const size_t j1 = std::min(num_rows, j0 + kRowBlock);
+    for (size_t c = 0; c < rank; c += 16) {
+      for (size_t i0 = 0; i0 < rank; i0 += 4) {
+        switch (std::min<size_t>(4, rank - i0)) {
+          case 4:
+            GramTileAvx512<4>(x, y, rows, j0, j1, rank, i0, c, out);
+            break;
+          case 3:
+            GramTileAvx512<3>(x, y, rows, j0, j1, rank, i0, c, out);
+            break;
+          case 2:
+            GramTileAvx512<2>(x, y, rows, j0, j1, rank, i0, c, out);
+            break;
+          default:
+            GramTileAvx512<1>(x, y, rows, j0, j1, rank, i0, c, out);
+            break;
+        }
+      }
+    }
+  }
+}
+
+void RowTimesMatrixAvx512(const double* x, const double* m, size_t rank,
+                          double* out) {
+  const size_t n8 = rank & ~static_cast<size_t>(7);
+  for (size_t c = 0; c < rank; c += 8) {
+    const __mmask8 mask = ColumnMask(c, rank);
+    // p[l] holds blocked-8 partial l of eight columns at once.
+    __m512d p[8];
+    for (__m512d& lane : p) lane = _mm512_setzero_pd();
+    for (size_t i = 0; i < n8; i += 8) {
+      for (size_t l = 0; l < 8; ++l) {
+        p[l] = _mm512_add_pd(
+            p[l], _mm512_mul_pd(_mm512_set1_pd(x[i + l]),
+                                _mm512_maskz_loadu_pd(
+                                    mask, m + (i + l) * rank + c)));
+      }
+    }
+    // Tail element n8 + l folds into partial l. The constant-bound loop
+    // keeps every p[l] in a register.
+    for (size_t l = 0; l < 8; ++l) {
+      if (n8 + l < rank) {
+        p[l] = _mm512_add_pd(
+            p[l], _mm512_mul_pd(_mm512_set1_pd(x[n8 + l]),
+                                _mm512_maskz_loadu_pd(
+                                    mask, m + (n8 + l) * rank + c)));
+      }
+    }
+    const __m512d q0 = _mm512_add_pd(p[0], p[4]);
+    const __m512d q1 = _mm512_add_pd(p[1], p[5]);
+    const __m512d q2 = _mm512_add_pd(p[2], p[6]);
+    const __m512d q3 = _mm512_add_pd(p[3], p[7]);
+    _mm512_mask_storeu_pd(
+        out + c, mask,
+        _mm512_add_pd(_mm512_add_pd(q0, q2), _mm512_add_pd(q1, q3)));
+  }
+}
+
+/// Solves rows [r0, r0 + width) (width <= 8 * kVecs) transposed into
+/// `lanes` (rank x 8 * kVecs): element i of every row is kVecs vectors, and
+/// lane l runs row l's forward/back substitution. kVecs independent chains
+/// hide the divider latency. Padded lanes are never written back.
+template <size_t kVecs>
+inline void CholeskySolveBlockAvx512(const double* lower, size_t rank,
+                                     const double* rhs, size_t width,
+                                     double* out, double* lanes) {
+  constexpr size_t kLanes = 8 * kVecs;
+  for (size_t i = 0; i < rank; ++i) {
+    for (size_t l = 0; l < kLanes; ++l) {
+      lanes[i * kLanes + l] = l < width ? rhs[l * rank + i] : 0.0;
+    }
+  }
+  for (size_t i = 0; i < rank; ++i) {
+    __m512d sum[kVecs];
+    for (size_t v = 0; v < kVecs; ++v) {
+      sum[v] = _mm512_loadu_pd(lanes + i * kLanes + 8 * v);
+    }
+    for (size_t k = 0; k < i; ++k) {
+      const __m512d lik = _mm512_set1_pd(lower[i * rank + k]);
+      for (size_t v = 0; v < kVecs; ++v) {
+        sum[v] = _mm512_sub_pd(
+            sum[v],
+            _mm512_mul_pd(lik, _mm512_loadu_pd(lanes + k * kLanes + 8 * v)));
+      }
+    }
+    const __m512d pivot = _mm512_set1_pd(lower[i * rank + i]);
+    for (size_t v = 0; v < kVecs; ++v) {
+      _mm512_storeu_pd(lanes + i * kLanes + 8 * v,
+                       _mm512_div_pd(sum[v], pivot));
+    }
+  }
+  for (size_t ii = rank; ii-- > 0;) {
+    __m512d sum[kVecs];
+    for (size_t v = 0; v < kVecs; ++v) {
+      sum[v] = _mm512_loadu_pd(lanes + ii * kLanes + 8 * v);
+    }
+    for (size_t k = ii + 1; k < rank; ++k) {
+      const __m512d lki = _mm512_set1_pd(lower[k * rank + ii]);
+      for (size_t v = 0; v < kVecs; ++v) {
+        sum[v] = _mm512_sub_pd(
+            sum[v],
+            _mm512_mul_pd(lki, _mm512_loadu_pd(lanes + k * kLanes + 8 * v)));
+      }
+    }
+    const __m512d pivot = _mm512_set1_pd(lower[ii * rank + ii]);
+    for (size_t v = 0; v < kVecs; ++v) {
+      _mm512_storeu_pd(lanes + ii * kLanes + 8 * v,
+                       _mm512_div_pd(sum[v], pivot));
+    }
+  }
+  for (size_t l = 0; l < width; ++l) {
+    for (size_t i = 0; i < rank; ++i) out[l * rank + i] = lanes[i * kLanes + l];
+  }
+}
+
+void CholeskySolveRowsAvx512(const double* lower, size_t rank,
+                             const double* rhs, size_t num_rows,
+                             double* out) {
+  // The transposed block lives on the stack up to kStackRank; larger
+  // systems borrow a heap buffer and run the same code.
+  constexpr size_t kStackRank = 64;
+  alignas(64) double stack_lanes[kStackRank * 16];
+  std::vector<double> heap_lanes;
+  double* lanes = stack_lanes;
+  if (rank > kStackRank) {
+    heap_lanes.resize(rank * 16);
+    lanes = heap_lanes.data();
+  }
+  for (size_t r0 = 0; r0 < num_rows;) {
+    const size_t left = num_rows - r0;
+    const double* src = rhs + r0 * rank;
+    double* dst = out + r0 * rank;
+    if (left > 8) {
+      const size_t width = std::min<size_t>(16, left);
+      CholeskySolveBlockAvx512<2>(lower, rank, src, width, dst, lanes);
+      r0 += width;
+    } else {
+      CholeskySolveBlockAvx512<1>(lower, rank, src, left, dst, lanes);
+      r0 += left;
+    }
   }
 }
 
@@ -203,9 +405,11 @@ const KernelTable& Avx512Kernels() {
   static const KernelTable table = [] {
     KernelTable t;
     t.backend = Backend::kAvx512;
-    t.mttkrp_row = MttkrpRowAvx512;
     t.hadamard_combine = HadamardCombineAvx512;
-    t.gram_rank_update = GramRankUpdateAvx512;
+    t.mttkrp_coo = MttkrpCooAvx512;
+    t.gram_update_rows = GramUpdateRowsAvx512;
+    t.row_times_matrix = RowTimesMatrixAvx512;
+    t.cholesky_solve_rows = CholeskySolveRowsAvx512;
     t.dot_strided = DotStridedAvx512;
     t.topk_score_block = TopKScoreBlockAvx512;
     t.f64_to_bf16 = F64ToBf16Plain;

@@ -33,11 +33,11 @@ Result<Backend> ParseBackend(const std::string& text);
 /// (kernels::Get()) and call through it; they never branch on CPU features
 /// themselves.
 ///
-/// Determinism contract (fp64 kernels): element-wise kernels (mttkrp_row,
-/// hadamard_combine, gram_rank_update) perform the same scalar operations
-/// in the same order in every backend, lane-parallel over independent
-/// outputs, so they are bit-exact across backends by construction.
-/// Reductions (dot_strided, topk_score_block) share a fixed blocking: 8
+/// Determinism contract (fp64 kernels): element-wise kernels (mttkrp_coo,
+/// hadamard_combine, gram_update_rows, cholesky_solve_rows) perform the same scalar operations in the same
+/// order in every backend, lane-parallel over independent outputs, so they
+/// are bit-exact across backends by construction. Reductions (dot_strided,
+/// row_times_matrix, topk_score_block) share a fixed blocking: 8
 /// independent partial sums, lane l accumulating elements l, l+8, l+16, ...
 /// with the tail element i folded into lane i mod 8, combined as
 /// ((p0+p4)+(p2+p6)) + ((p1+p5)+(p3+p7)) — exactly the tree an 8-lane
@@ -52,21 +52,46 @@ Result<Backend> ParseBackend(const std::string& text);
 struct KernelTable {
   Backend backend = Backend::kScalar;
 
-  /// out[f] += value * prod_m rows[m][f] for f in [0, rank). The row-wise
-  /// sparse MTTKRP step (Eq. 6): `rows` are the (order-1) factor rows of
-  /// one non-zero's non-target modes.
-  void (*mttkrp_row)(double value, const double* const* rows,
-                     size_t num_rows, size_t rank, double* out);
-
   /// out[f] = prod_m rows[m][f] (empty product = 1.0). The combination
   /// weights w[f] = prod_n A_n[i_n, f] of point predictions and top-K.
   void (*hadamard_combine)(const double* const* rows, size_t num_rows,
                            size_t rank, double* out);
 
-  /// out[i*rank + j] += x[i] * y[j] for i, j in [0, rank). One rank-1
-  /// update of a Gram (y == x) or cross-Gram partial.
-  void (*gram_rank_update)(const double* x, const double* y, size_t rank,
+  /// Sparse MTTKRP (Eq. 6) over `nnz` COO entries (`order` indices each),
+  /// in order: out[i * rank + f] += values[e] * prod_{m != mode}
+  /// factors[m][indices[e * order + m] * rank + f] with i = indices[e *
+  /// order + mode]; factors[m] and out are row-major with `rank` columns.
+  /// The current output row stays in registers while consecutive entries
+  /// share it, so row-grouped input (partition data) touches each output
+  /// row once. Each entry's product is formed in mode order (starting from
+  /// the value) and added in entry order.
+  void (*mttkrp_coo)(const uint64_t* indices, const double* values,
+                     size_t nnz, size_t order, size_t mode,
+                     const double* const* factors, size_t rank, double* out);
+
+  /// Gram (y == x) or cross-Gram partial over a row set: for j in
+  /// [0, num_rows), in order, out[i*rank + k] += x[rows[j]*rank + i] *
+  /// y[rows[j]*rank + k], with x and y row-major matrices of `rank`
+  /// columns. Each output element sees its rank-1 additions in row order.
+  void (*gram_update_rows)(const double* x, const double* y,
+                           const uint64_t* rows, size_t num_rows, size_t rank,
                            double* out);
+
+  /// out[c] = dot_strided(x, 1, m + c, rank, rank) for c in [0, rank): the
+  /// row vector x times the rank x rank row-major matrix m, every column
+  /// reduced under the blocked-8 contract (lane-parallel over columns).
+  void (*row_times_matrix)(const double* x, const double* m, size_t rank,
+                           double* out);
+
+  /// Solves z · L Lᵀ = b for each of the num_rows rows b of the row-major
+  /// `rhs` (rank columns), writing z to `out` (which may alias rhs): forward
+  /// substitution L y = b, then back substitution Lᵀ z = y, with true
+  /// division by the pivots. `lower` is the row-major rank x rank Cholesky
+  /// factor. Lane-parallel across rows; every row runs the operation
+  /// sequence of the one-row scalar reference, so results are bit-exact.
+  void (*cholesky_solve_rows)(const double* lower, size_t rank,
+                              const double* rhs, size_t num_rows,
+                              double* out);
 
   /// Strided dot product sum_i x[i*incx] * y[i*incy] under the blocked-8
   /// reduction contract. incx/incy may be 0 (broadcast) or any stride.

@@ -43,15 +43,6 @@ inline double DotBlocked(const double* x, size_t incx, const double* y,
   return CombinePartials8(p);
 }
 
-inline void MttkrpRowScalar(double value, const double* const* rows,
-                            size_t num_rows, size_t rank, double* out) {
-  for (size_t f = 0; f < rank; ++f) {
-    double v = value;
-    for (size_t m = 0; m < num_rows; ++m) v *= rows[m][f];
-    out[f] += v;
-  }
-}
-
 inline void HadamardCombineScalar(const double* const* rows, size_t num_rows,
                                   size_t rank, double* out) {
   for (size_t f = 0; f < rank; ++f) {
@@ -61,12 +52,72 @@ inline void HadamardCombineScalar(const double* const* rows, size_t num_rows,
   }
 }
 
-inline void GramRankUpdateScalar(const double* x, const double* y,
+inline void MttkrpCooScalar(const uint64_t* indices, const double* values,
+                            size_t nnz, size_t order, size_t mode,
+                            const double* const* factors, size_t rank,
+                            double* out) {
+  for (size_t e = 0; e < nnz; ++e) {
+    const uint64_t* idx = indices + e * order;
+    double* row = out + idx[mode] * rank;
+    for (size_t f = 0; f < rank; ++f) {
+      double v = values[e];
+      for (size_t m = 0; m < order; ++m) {
+        if (m != mode) v *= factors[m][idx[m] * rank + f];
+      }
+      row[f] += v;
+    }
+  }
+}
+
+inline void GramUpdateRowsScalar(const double* x, const double* y,
+                                 const uint64_t* rows, size_t num_rows,
                                  size_t rank, double* out) {
+  for (size_t j = 0; j < num_rows; ++j) {
+    const double* xr = x + rows[j] * rank;
+    const double* yr = y + rows[j] * rank;
+    for (size_t i = 0; i < rank; ++i) {
+      const double xi = xr[i];
+      double* row = out + i * rank;
+      for (size_t k = 0; k < rank; ++k) row[k] += xi * yr[k];
+    }
+  }
+}
+
+/// The blocked-8 dot of x against column c of the rank x rank matrix m,
+/// for every column: dot_strided(x, 1, m + c, rank, rank).
+inline void RowTimesMatrixScalar(const double* x, const double* m,
+                                 size_t rank, double* out) {
+  for (size_t c = 0; c < rank; ++c) {
+    out[c] = DotBlocked(x, 1, m + c, rank, rank);
+  }
+}
+
+/// One row of the Cholesky row solve, in place: forward substitution
+/// L y = b into z, then back substitution Lᵀ z = y. Each y[i] / z[i]
+/// overwrites b[i] only after the last read of b[i].
+inline void CholeskySolveRowScalar(const double* lower, size_t rank,
+                                   double* z) {
   for (size_t i = 0; i < rank; ++i) {
-    const double xi = x[i];
-    double* row = out + i * rank;
-    for (size_t j = 0; j < rank; ++j) row[j] += xi * y[j];
+    double sum = z[i];
+    for (size_t k = 0; k < i; ++k) sum -= lower[i * rank + k] * z[k];
+    z[i] = sum / lower[i * rank + i];
+  }
+  for (size_t ii = rank; ii-- > 0;) {
+    double sum = z[ii];
+    for (size_t k = ii + 1; k < rank; ++k) sum -= lower[k * rank + ii] * z[k];
+    z[ii] = sum / lower[ii * rank + ii];
+  }
+}
+
+inline void CholeskySolveRowsScalar(const double* lower, size_t rank,
+                                    const double* rhs, size_t num_rows,
+                                    double* out) {
+  for (size_t r = 0; r < num_rows; ++r) {
+    double* z = out + r * rank;
+    if (z != rhs + r * rank) {
+      std::memcpy(z, rhs + r * rank, rank * sizeof(double));
+    }
+    CholeskySolveRowScalar(lower, rank, z);
   }
 }
 

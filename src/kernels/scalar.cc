@@ -44,9 +44,11 @@ const KernelTable& ScalarKernels() {
   static const KernelTable table = [] {
     KernelTable t;
     t.backend = Backend::kScalar;
-    t.mttkrp_row = detail::MttkrpRowScalar;
     t.hadamard_combine = detail::HadamardCombineScalar;
-    t.gram_rank_update = detail::GramRankUpdateScalar;
+    t.mttkrp_coo = detail::MttkrpCooScalar;
+    t.gram_update_rows = detail::GramUpdateRowsScalar;
+    t.row_times_matrix = detail::RowTimesMatrixScalar;
+    t.cholesky_solve_rows = detail::CholeskySolveRowsScalar;
     t.dot_strided = detail::DotBlocked;
     t.topk_score_block = TopKScoreBlockScalar;
     t.f64_to_bf16 = F64ToBf16Scalar;

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <vector>
 
+#include "kernels/kernels.h"
+
 namespace dismastd {
 
 Status CholeskyFactor(const Matrix& a, Matrix* lower) {
@@ -27,52 +29,46 @@ Status CholeskyFactor(const Matrix& a, Matrix* lower) {
   return Status::OK();
 }
 
-Matrix CholeskySolveRows(const Matrix& lower, const Matrix& rhs_rows) {
-  const size_t n = lower.rows();
-  DISMASTD_CHECK(lower.cols() == n && rhs_rows.cols() == n);
-  Matrix x(rhs_rows.rows(), n);
-  std::vector<double> y(n);
-  for (size_t r = 0; r < rhs_rows.rows(); ++r) {
-    const double* b = rhs_rows.RowPtr(r);
-    // Forward substitution: L y = b.
-    for (size_t i = 0; i < n; ++i) {
-      double sum = b[i];
-      for (size_t k = 0; k < i; ++k) sum -= lower(i, k) * y[k];
-      y[i] = sum / lower(i, i);
-    }
-    // Back substitution: Lᵀ z = y.
-    double* out = x.RowPtr(r);
-    for (size_t ii = n; ii-- > 0;) {
-      double sum = y[ii];
-      for (size_t k = ii + 1; k < n; ++k) sum -= lower(k, ii) * out[k];
-      out[ii] = sum / lower(ii, ii);
-    }
-  }
-  return x;
-}
-
-Matrix SolveNormalEquationsRows(const Matrix& a, const Matrix& rhs_rows) {
+FactoredNormalEquations FactorNormalEquations(const Matrix& a) {
   DISMASTD_CHECK(a.rows() == a.cols());
   const size_t n = a.rows();
   double trace = 0.0;
   for (size_t i = 0; i < n; ++i) trace += a(i, i);
   double ridge = 0.0;
-  Matrix lower;
+  FactoredNormalEquations factored;
   for (int attempt = 0; attempt < 12; ++attempt) {
     Matrix work = a;
     if (ridge > 0.0) {
       for (size_t i = 0; i < n; ++i) work(i, i) += ridge;
     }
-    if (CholeskyFactor(work, &lower).ok()) {
-      return CholeskySolveRows(lower, rhs_rows);
-    }
+    if (CholeskyFactor(work, &factored.lower).ok()) return factored;
     const double base =
         trace > 0.0 ? trace / static_cast<double>(n) : 1.0;
     ridge = ridge == 0.0 ? 1e-12 * base : ridge * 100.0;
   }
   // Pathological input (e.g. all-zero Grams): fall back to zero update so
   // callers never see NaNs.
-  return Matrix(rhs_rows.rows(), n);
+  factored.lower = Matrix(n, n);
+  factored.zero = true;
+  return factored;
+}
+
+void SolveFactoredRowsInPlace(const FactoredNormalEquations& factored,
+                              Matrix* rows) {
+  const size_t n = factored.lower.rows();
+  DISMASTD_CHECK(rows->cols() == n);
+  if (factored.zero) {
+    *rows = Matrix(rows->rows(), n);
+    return;
+  }
+  kernels::Get().cholesky_solve_rows(factored.lower.data(), n, rows->data(),
+                                     rows->rows(), rows->data());
+}
+
+Matrix SolveNormalEquationsRows(const Matrix& a, const Matrix& rhs_rows) {
+  Matrix x = rhs_rows;
+  SolveFactoredRowsInPlace(FactorNormalEquations(a), &x);
+  return x;
 }
 
 Status LuSolve(const Matrix& a, const Matrix& b, Matrix* x) {

@@ -10,30 +10,63 @@ ModePartitionData BuildModePartitionData(
   const size_t order = tensor.order();
   DISMASTD_CHECK(partitioning.order() == order);
   DISMASTD_CHECK(mode < order);
+  DISMASTD_CHECK(tensor.nnz() < UINT32_MAX);
   const ModePartition& mode_partition = partitioning.modes[mode];
   const uint32_t parts = mode_partition.num_parts;
+  const std::vector<uint32_t>& slice_to_part = mode_partition.slice_to_part;
+
+  // Stable counting sort keyed by (part, mode index): part q's slices are
+  // laid out in ascending index order, each slice's entries in input order.
+  // Gather then copies each part out in that order, exactly sized.
+  const std::vector<uint64_t> slice_nnz = tensor.SliceNnzCounts(mode);
+  const size_t slices = slice_nnz.size();
+  std::vector<uint64_t> part_begin(parts + 1, 0);
+  for (size_t i = 0; i < slices; ++i) {
+    if (slice_nnz[i] == 0) continue;
+    DISMASTD_CHECK(i < slice_to_part.size() && slice_to_part[i] < parts);
+    part_begin[slice_to_part[i] + 1] += slice_nnz[i];
+  }
+  for (uint32_t q = 0; q < parts; ++q) part_begin[q + 1] += part_begin[q];
+  std::vector<uint64_t> slice_cursor(slices, 0);
+  {
+    std::vector<uint64_t> part_fill(part_begin.begin(), part_begin.end() - 1);
+    for (size_t i = 0; i < slices; ++i) {
+      if (slice_nnz[i] == 0) continue;
+      slice_cursor[i] = part_fill[slice_to_part[i]];
+      part_fill[slice_to_part[i]] += slice_nnz[i];
+    }
+  }
+  std::vector<uint32_t> grouped(tensor.nnz());
+  for (size_t e = 0; e < tensor.nnz(); ++e) {
+    grouped[slice_cursor[tensor.Index(e, mode)]++] = static_cast<uint32_t>(e);
+  }
 
   ModePartitionData data;
   data.mode = mode;
-  data.part_tensors.assign(parts, SparseTensor(tensor.dims()));
+  data.part_tensors.reserve(parts);
   data.needed_rows.assign(
       parts, std::vector<std::vector<uint64_t>>(order));
-
-  for (size_t e = 0; e < tensor.nnz(); ++e) {
-    const uint64_t* idx = tensor.IndexTuple(e);
-    const uint32_t part = mode_partition.slice_to_part[idx[mode]];
-    data.part_tensors[part].AddRaw(idx, tensor.Value(e));
-    for (size_t k = 0; k < order; ++k) {
-      if (k == mode) continue;
-      data.needed_rows[part][k].push_back(idx[k]);
-    }
+  // mark[k][row] == q once part q has listed factor-k row `row`.
+  std::vector<std::vector<uint32_t>> mark(order);
+  for (size_t k = 0; k < order; ++k) {
+    if (k != mode) mark[k].assign(static_cast<size_t>(tensor.dim(k)), parts);
   }
-  // Deduplicate access sets.
   for (uint32_t q = 0; q < parts; ++q) {
-    for (size_t k = 0; k < order; ++k) {
-      auto& rows = data.needed_rows[q][k];
+    data.part_tensors.push_back(tensor.Gather(
+        tensor.dims(), grouped.data() + part_begin[q],
+        static_cast<size_t>(part_begin[q + 1] - part_begin[q])));
+    const SparseTensor& part = data.part_tensors.back();
+    for (size_t e = 0; e < part.nnz(); ++e) {
+      const uint64_t* idx = part.IndexTuple(e);
+      for (size_t k = 0; k < order; ++k) {
+        if (k == mode || mark[k][idx[k]] == q) continue;
+        mark[k][idx[k]] = q;
+        data.needed_rows[q][k].push_back(idx[k]);
+      }
+    }
+    // Each set holds distinct rows only; sort it into ascending order.
+    for (std::vector<uint64_t>& rows : data.needed_rows[q]) {
       std::sort(rows.begin(), rows.end());
-      rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
     }
   }
   return data;

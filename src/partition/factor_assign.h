@@ -15,7 +15,10 @@ namespace dismastd {
 struct ModePartitionData {
   size_t mode = 0;
   /// part_tensors[q] holds partition q's non-zeros (full tensor dims, so
-  /// global indices remain valid).
+  /// global indices remain valid), row-grouped: ordered by mode-`mode`
+  /// index, and in the input tensor's order within one index. Each output
+  /// row's MTTKRP contributions therefore form one contiguous run, in the
+  /// same order as over the input tensor.
   std::vector<SparseTensor> part_tensors;
   /// needed_rows[q][k] = sorted distinct row indices of factor k accessed
   /// by partition q's non-zeros (empty vector for k == mode).
@@ -23,7 +26,10 @@ struct ModePartitionData {
 };
 
 /// Splits `tensor` by the mode-`mode` partition and computes the factor-row
-/// access sets that drive communication accounting.
+/// access sets that drive communication accounting. Linear time: a stable
+/// counting sort on the mode-`mode` index sizes every part exactly, and the
+/// access sets are collected with a mark array (only each set's distinct
+/// rows are sorted). `tensor` may hold at most 2^32 - 1 entries.
 ModePartitionData BuildModePartitionData(const SparseTensor& tensor,
                                          const TensorPartitioning& partitioning,
                                          size_t mode);

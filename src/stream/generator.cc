@@ -1,5 +1,6 @@
 #include "stream/generator.h"
 
+#include <algorithm>
 #include <numeric>
 
 namespace dismastd {
@@ -29,7 +30,6 @@ GeneratedTensor GenerateSparseTensor(const GeneratorOptions& options) {
 
   Rng rng(options.seed);
   GeneratedTensor out;
-  out.tensor = SparseTensor(options.dims);
 
   if (options.latent_rank > 0) {
     Rng factor_rng = rng.Split();
@@ -60,6 +60,8 @@ GeneratedTensor GenerateSparseTensor(const GeneratorOptions& options) {
   std::vector<uint64_t> index(order);
   // Oversample: coalescing drops duplicate coordinates.
   const uint64_t attempts = options.nnz + options.nnz / 4 + 16;
+  SparseTensor draws(options.dims);
+  draws.Reserve(static_cast<size_t>(attempts));
   for (uint64_t draw = 0; draw < attempts; ++draw) {
     for (size_t m = 0; m < order; ++m) {
       uint64_t raw = samplers[m].Sample(rng);
@@ -77,36 +79,30 @@ GeneratedTensor GenerateSparseTensor(const GeneratorOptions& options) {
     } else {
       value = rng.NextDouble(0.5, 1.5);
     }
-    out.tensor.AddRaw(index.data(), value);
+    draws.AddRaw(index.data(), value);
   }
 
-  // Keep the first value per duplicate coordinate: coalesce by replacing
-  // sums with "first wins" semantics would complicate Coalesce; instead we
-  // coalesce by sum and then re-sample is unnecessary for benchmarks. For
-  // model-driven values, duplicate sums distort the model, so drop
-  // duplicates by rebuilding with unique coordinates.
-  SparseTensor unique(options.dims);
-  {
-    SparseTensor sorted = out.tensor;
-    sorted.SortLexicographic();
-    const size_t n = order;
-    for (size_t e = 0; e < sorted.nnz() &&
-                       unique.nnz() < options.nnz;
-         ++e) {
-      if (e > 0) {
-        bool same = true;
-        for (size_t m = 0; m < n; ++m) {
-          if (sorted.Index(e, m) != sorted.Index(e - 1, m)) {
-            same = false;
-            break;
-          }
-        }
-        if (same) continue;
-      }
-      unique.AddRaw(sorted.IndexTuple(e), sorted.Value(e));
-    }
+  // Drop duplicate coordinates, keeping the value that sorts first: summing
+  // duplicates would distort a model-driven value. One permutation in
+  // lexicographic order (ties broken by std::sort on the raw draws), one
+  // counting pass to size the result exactly, one copy pass.
+  const std::vector<size_t> sorted = draws.LexicographicOrder();
+  auto repeats_previous = [&](size_t k) {
+    return k > 0 && std::equal(draws.IndexTuple(sorted[k]),
+                               draws.IndexTuple(sorted[k]) + order,
+                               draws.IndexTuple(sorted[k - 1]));
+  };
+  size_t kept = 0;
+  size_t scan_end = 0;
+  for (; scan_end < sorted.size() && kept < options.nnz; ++scan_end) {
+    if (!repeats_previous(scan_end)) ++kept;
   }
-  out.tensor = std::move(unique);
+  out.tensor = SparseTensor(options.dims);
+  out.tensor.Reserve(kept);
+  for (size_t k = 0; k < scan_end; ++k) {
+    if (repeats_previous(k)) continue;
+    out.tensor.AddRaw(draws.IndexTuple(sorted[k]), draws.Value(sorted[k]));
+  }
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "stream/snapshot.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace dismastd {
@@ -44,13 +45,54 @@ StreamingTensorSequence::StreamingTensorSequence(
     SparseTensor full, std::vector<std::vector<uint64_t>> schedule)
     : full_(std::move(full)), schedule_(std::move(schedule)) {
   DISMASTD_CHECK(!schedule_.empty());
-  for (size_t t = 0; t < schedule_.size(); ++t) {
-    DISMASTD_CHECK(schedule_[t].size() == full_.order());
-    for (size_t m = 0; m < full_.order(); ++m) {
+  const size_t order = full_.order();
+  const size_t steps = schedule_.size();
+  for (size_t t = 0; t < steps; ++t) {
+    DISMASTD_CHECK(schedule_[t].size() == order);
+    for (size_t m = 0; m < order; ++m) {
       DISMASTD_CHECK(schedule_[t][m] >= 1);
       DISMASTD_CHECK(schedule_[t][m] <= full_.dim(m));
       if (t > 0) DISMASTD_CHECK(schedule_[t][m] >= schedule_[t - 1][m]);
     }
+  }
+  DISMASTD_CHECK(full_.nnz() < UINT32_MAX);
+
+  // Per mode, the first step whose box covers each index (`steps` when
+  // none does). Boxes are nested, so an entry arrives at the latest of its
+  // modes' first covering steps.
+  std::vector<std::vector<uint32_t>> first_step(order);
+  for (size_t m = 0; m < order; ++m) {
+    first_step[m].assign(static_cast<size_t>(full_.dim(m)),
+                         static_cast<uint32_t>(steps));
+    uint64_t covered = 0;
+    for (size_t t = 0; t < steps; ++t) {
+      for (; covered < schedule_[t][m]; ++covered) {
+        first_step[m][covered] = static_cast<uint32_t>(t);
+      }
+    }
+  }
+  auto arrival = [&](size_t e) {
+    const uint64_t* idx = full_.IndexTuple(e);
+    uint32_t step = 0;
+    for (size_t m = 0; m < order; ++m) {
+      step = std::max(step, first_step[m][idx[m]]);
+    }
+    return step;
+  };
+
+  // Stable counting sort of the entry ids by arrival step.
+  std::vector<uint64_t> counts(steps + 1, 0);
+  for (size_t e = 0; e < full_.nnz(); ++e) ++counts[arrival(e)];
+  arrival_offsets_.assign(steps + 1, 0);
+  for (size_t t = 0; t < steps; ++t) {
+    arrival_offsets_[t + 1] = arrival_offsets_[t] + counts[t];
+  }
+  arrival_order_.resize(arrival_offsets_[steps]);
+  std::vector<uint64_t> cursor(arrival_offsets_.begin(),
+                               arrival_offsets_.end() - 1);
+  for (size_t e = 0; e < full_.nnz(); ++e) {
+    const uint32_t step = arrival(e);
+    if (step < steps) arrival_order_[cursor[step]++] = static_cast<uint32_t>(e);
   }
 }
 
@@ -61,28 +103,14 @@ SparseTensor StreamingTensorSequence::SnapshotAt(size_t step) const {
 
 SparseTensor StreamingTensorSequence::DeltaAt(size_t step) const {
   DISMASTD_CHECK(step < num_steps());
-  SparseTensor snapshot = SnapshotAt(step);
-  if (step == 0) return snapshot;
-  return RelativeComplement(snapshot, schedule_[step - 1]);
+  const uint64_t begin = arrival_offsets_[step];
+  return full_.Gather(schedule_[step], arrival_order_.data() + begin,
+                      static_cast<size_t>(arrival_offsets_[step + 1] - begin));
 }
 
 uint64_t StreamingTensorSequence::SnapshotNnz(size_t step) const {
   DISMASTD_CHECK(step < num_steps());
-  const auto& dims = schedule_[step];
-  const size_t order = full_.order();
-  uint64_t count = 0;
-  for (size_t e = 0; e < full_.nnz(); ++e) {
-    const uint64_t* idx = full_.IndexTuple(e);
-    bool inside = true;
-    for (size_t m = 0; m < order; ++m) {
-      if (idx[m] >= dims[m]) {
-        inside = false;
-        break;
-      }
-    }
-    if (inside) ++count;
-  }
-  return count;
+  return arrival_offsets_[step + 1];
 }
 
 std::vector<std::vector<uint64_t>> MakeGrowthSchedule(

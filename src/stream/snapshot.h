@@ -28,10 +28,16 @@ SparseTensor RestrictToBox(const SparseTensor& tensor,
 
 /// A multi-aspect streaming tensor sequence (Def. 4): snapshots are prefix
 /// boxes of one final tensor, growing (weakly) in every mode.
+///
+/// Construction makes one pass over the tensor to index every entry by its
+/// arrival step — the first t whose box contains it — as a stable
+/// permutation (4 bytes per entry) bucketed by step. A delta is then a
+/// gather of one bucket, O(nnz(Δ)) instead of a scan of the whole tensor.
 class StreamingTensorSequence {
  public:
   /// `schedule[t]` is the dims vector of snapshot t; must be monotonically
-  /// non-decreasing per mode and end at `full.dims()` or below.
+  /// non-decreasing per mode and end at `full.dims()` or below. `full` may
+  /// hold at most 2^32 - 1 entries.
   StreamingTensorSequence(SparseTensor full,
                           std::vector<std::vector<uint64_t>> schedule);
 
@@ -45,15 +51,23 @@ class StreamingTensorSequence {
   SparseTensor SnapshotAt(size_t step) const;
 
   /// Relative complement X^(step) \ X^(step-1); for step 0, the whole first
-  /// snapshot (old dims treated as all-zero).
+  /// snapshot (old dims treated as all-zero). Dims are DimsAt(step) and the
+  /// entries keep full()'s order: exactly
+  /// RelativeComplement(SnapshotAt(step), DimsAt(step - 1)).
   SparseTensor DeltaAt(size_t step) const;
 
-  /// nnz of SnapshotAt(step) without materializing it.
+  /// nnz of SnapshotAt(step) without materializing it (a prefix sum).
   uint64_t SnapshotNnz(size_t step) const;
 
  private:
   SparseTensor full_;
   std::vector<std::vector<uint64_t>> schedule_;
+  /// Entry ids of full_ grouped by arrival step, full_'s order within a
+  /// step; entries outside the last box are not listed.
+  std::vector<uint32_t> arrival_order_;
+  /// Step t's entries are arrival_order_[arrival_offsets_[t] ..
+  /// arrival_offsets_[t + 1]); num_steps() + 1 entries.
+  std::vector<uint64_t> arrival_offsets_;
 };
 
 /// Builds a growth schedule scaling every mode of `final_dims` by

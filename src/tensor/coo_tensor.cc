@@ -22,7 +22,32 @@ void SparseTensor::AddRaw(const uint64_t* index, double value) {
   values_.push_back(value);
 }
 
-void SparseTensor::SortLexicographic() {
+void SparseTensor::Reserve(size_t nnz) {
+  indices_.reserve(nnz * order());
+  values_.reserve(nnz);
+}
+
+SparseTensor SparseTensor::Gather(std::vector<uint64_t> dims,
+                                  const uint32_t* ids, size_t count) const {
+  SparseTensor out(std::move(dims));
+  const size_t n = order();
+  DISMASTD_CHECK(out.order() == n);
+  out.indices_.resize(count * n);
+  out.values_.resize(count);
+  for (size_t k = 0; k < count; ++k) {
+    DISMASTD_CHECK(ids[k] < nnz());
+    const uint64_t* src = indices_.data() + static_cast<size_t>(ids[k]) * n;
+    uint64_t* dst = out.indices_.data() + k * n;
+    for (size_t m = 0; m < n; ++m) {
+      DISMASTD_CHECK(src[m] < out.dims_[m]);
+      dst[m] = src[m];
+    }
+    out.values_[k] = values_[ids[k]];
+  }
+  return out;
+}
+
+std::vector<size_t> SparseTensor::LexicographicOrder() const {
   const size_t n = order();
   std::vector<size_t> perm(nnz());
   std::iota(perm.begin(), perm.end(), 0);
@@ -34,6 +59,12 @@ void SparseTensor::SortLexicographic() {
     }
     return false;
   });
+  return perm;
+}
+
+void SparseTensor::SortLexicographic() {
+  const size_t n = order();
+  const std::vector<size_t> perm = LexicographicOrder();
   std::vector<uint64_t> new_indices(indices_.size());
   std::vector<double> new_values(values_.size());
   for (size_t e = 0; e < perm.size(); ++e) {

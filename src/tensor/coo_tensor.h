@@ -33,6 +33,9 @@ class SparseTensor {
   /// Appends one non-zero from a raw index pointer of `order()` entries.
   void AddRaw(const uint64_t* index, double value);
 
+  /// Reserves storage for `nnz` entries in total; contents are unchanged.
+  void Reserve(size_t nnz);
+
   /// Index of entry `e` in mode `n`.
   uint64_t Index(size_t e, size_t mode) const {
     return indices_[e * order() + mode];
@@ -42,7 +45,14 @@ class SparseTensor {
     return indices_.data() + e * order();
   }
   double Value(size_t e) const { return values_[e]; }
+  /// Pointer to the values of entries e, e+1, ...
+  const double* ValuePtr(size_t e) const { return values_.data() + e; }
   double& MutableValue(size_t e) { return values_[e]; }
+
+  /// The entry permutation SortLexicographic applies: entry ids ordered by
+  /// index tuple (std::sort, so the order among equal tuples is fixed by
+  /// the input alone). Deterministic.
+  std::vector<size_t> LexicographicOrder() const;
 
   /// Lexicographically sorts entries by index tuple. Deterministic.
   void SortLexicographic();
@@ -62,6 +72,12 @@ class SparseTensor {
   /// Grows the mode sizes (never shrinks); entries are unaffected.
   /// `new_dims` must be element-wise >= current dims.
   void GrowDims(const std::vector<uint64_t>& new_dims);
+
+  /// The entries ids[0], ..., ids[count - 1] of this tensor, in that order,
+  /// as a tensor with mode sizes `dims`; every gathered index must lie
+  /// inside `dims`. One exactly sized copy, no per-entry reallocation.
+  SparseTensor Gather(std::vector<uint64_t> dims, const uint32_t* ids,
+                      size_t count) const;
 
   /// Returns a tensor with the same dims containing only the entries for
   /// which `keep(e)` is true.

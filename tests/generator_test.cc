@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 
 namespace dismastd {
 namespace {
@@ -117,6 +118,122 @@ TEST(GeneratorTest, ScramblingSpreadsHeavySlices) {
   for (size_t i = 0; i < 10; ++i) head_mass += counts[i];
   EXPECT_LT(static_cast<double>(head_mass),
             0.5 * static_cast<double>(g.tensor.nnz()));
+}
+
+// A test-local copy of the generator as it was before its dedupe stopped
+// copying: append every draw, sort a copy lexicographically, and rebuild a
+// tensor from the first entry of each distinct coordinate until `nnz` are
+// kept. The optimized generator must match it entry for entry.
+uint64_t ReferenceCoprimeMultiplier(uint64_t n, uint64_t candidate) {
+  if (n <= 2) return 1;
+  candidate = candidate % n;
+  if (candidate < 2) candidate = 2;
+  while (std::gcd(candidate, n) != 1) {
+    ++candidate;
+    if (candidate >= n) candidate = 2;
+  }
+  return candidate;
+}
+
+SparseTensor ReferenceGenerate(const GeneratorOptions& options) {
+  const size_t order = options.dims.size();
+  std::vector<double> exponents = options.zipf_exponents;
+  if (exponents.empty()) exponents.assign(order, 0.0);
+  Rng rng(options.seed);
+  std::vector<Matrix> ground_truth;
+  if (options.latent_rank > 0) {
+    Rng factor_rng = rng.Split();
+    for (size_t m = 0; m < order; ++m) {
+      ground_truth.push_back(Matrix::Random(
+          static_cast<size_t>(options.dims[m]), options.latent_rank,
+          factor_rng));
+    }
+  }
+  std::vector<ZipfSampler> samplers;
+  std::vector<uint64_t> multipliers(order), shifts(order);
+  for (size_t m = 0; m < order; ++m) {
+    samplers.emplace_back(options.dims[m], exponents[m]);
+    multipliers[m] =
+        ReferenceCoprimeMultiplier(options.dims[m], 0x9E3779B1ULL + 131 * m);
+    shifts[m] =
+        options.scramble_indices ? rng.NextBounded(options.dims[m]) : 0;
+  }
+  const KruskalTensor truth = options.latent_rank > 0
+                                  ? KruskalTensor(ground_truth)
+                                  : KruskalTensor();
+  SparseTensor draws(options.dims);
+  std::vector<uint64_t> index(order);
+  const uint64_t attempts = options.nnz + options.nnz / 4 + 16;
+  for (uint64_t draw = 0; draw < attempts; ++draw) {
+    for (size_t m = 0; m < order; ++m) {
+      uint64_t raw = samplers[m].Sample(rng);
+      if (options.scramble_indices && options.dims[m] > 2) {
+        raw = (raw * multipliers[m] + shifts[m]) % options.dims[m];
+      }
+      index[m] = raw;
+    }
+    double value;
+    if (options.latent_rank > 0) {
+      value = truth.ValueAt(index.data());
+      if (options.noise_stddev > 0.0) {
+        value += options.noise_stddev * rng.NextGaussian();
+      }
+    } else {
+      value = rng.NextDouble(0.5, 1.5);
+    }
+    draws.AddRaw(index.data(), value);
+  }
+  // SortLexicographic as it was: std::sort of an identity permutation.
+  std::vector<size_t> perm(draws.nnz());
+  std::iota(perm.begin(), perm.end(), 0);
+  std::sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
+    return std::lexicographical_compare(
+        draws.IndexTuple(a), draws.IndexTuple(a) + order, draws.IndexTuple(b),
+        draws.IndexTuple(b) + order);
+  });
+  SparseTensor sorted(options.dims);
+  for (size_t e : perm) sorted.AddRaw(draws.IndexTuple(e), draws.Value(e));
+  SparseTensor unique(options.dims);
+  for (size_t e = 0; e < sorted.nnz() && unique.nnz() < options.nnz; ++e) {
+    if (e > 0 && std::equal(sorted.IndexTuple(e), sorted.IndexTuple(e) + order,
+                            sorted.IndexTuple(e - 1))) {
+      continue;
+    }
+    unique.AddRaw(sorted.IndexTuple(e), sorted.Value(e));
+  }
+  return unique;
+}
+
+TEST(GeneratorTest, MatchesCopySortRebuildReference) {
+  std::vector<GeneratorOptions> cases;
+  cases.push_back(BaseOptions());
+  GeneratorOptions skewed = BaseOptions();
+  skewed.dims = {12, 9};
+  skewed.nnz = 70;  // more than half the box: heavy collisions, early stop
+  skewed.zipf_exponents = {1.5, 1.2};
+  cases.push_back(skewed);
+  GeneratorOptions latent = BaseOptions();
+  latent.latent_rank = 3;
+  latent.noise_stddev = 0.1;
+  latent.zipf_exponents = {0.9, 0.9, 0.5};
+  cases.push_back(latent);
+  GeneratorOptions plain = BaseOptions();
+  plain.scramble_indices = false;
+  plain.dims = {30, 20, 10, 5};
+  plain.nnz = 2000;
+  cases.push_back(plain);
+  GeneratorOptions tiny;
+  tiny.dims = {1, 1};
+  tiny.nnz = 1;
+  cases.push_back(tiny);
+  GeneratorOptions empty = BaseOptions();
+  empty.nnz = 0;
+  cases.push_back(empty);
+  for (size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_TRUE(GenerateSparseTensor(cases[i]).tensor ==
+                ReferenceGenerate(cases[i]))
+        << "case " << i;
+  }
 }
 
 TEST(GeneratorTest, TinyDims) {

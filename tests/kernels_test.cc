@@ -5,14 +5,19 @@
 // and land within the documented error model of quantized.h.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <numeric>
 #include <vector>
 
 #include "common/random.h"
 #include "kernels/kernels.h"
 #include "kernels/quantized.h"
 #include "la/matrix.h"
+#include "la/solve.h"
 
 namespace dismastd {
 namespace kernels {
@@ -36,6 +41,27 @@ std::vector<double> RandomVector(size_t n, Rng& rng) {
   std::vector<double> v(n);
   for (double& x : v) x = rng.NextGaussian();
   return v;
+}
+
+// The per-non-zero MTTKRP step and the rank-1 Gram update that mttkrp_coo
+// and gram_update_rows replaced, kept as scalar references: the batched
+// kernels must equal a sequence of these calls bit for bit.
+void MttkrpRowReference(double value, const double* const* rows,
+                        size_t num_rows, size_t rank, double* out) {
+  for (size_t f = 0; f < rank; ++f) {
+    double v = value;
+    for (size_t m = 0; m < num_rows; ++m) v *= rows[m][f];
+    out[f] += v;
+  }
+}
+
+void GramRankUpdateReference(const double* x, const double* y, size_t rank,
+                             double* out) {
+  for (size_t i = 0; i < rank; ++i) {
+    const double xi = x[i];
+    double* row = out + i * rank;
+    for (size_t j = 0; j < rank; ++j) row[j] += xi * y[j];
+  }
 }
 
 TEST(KernelsDispatchTest, ScalarAlwaysSupportedAndTablesSelfIdentify) {
@@ -68,10 +94,12 @@ TEST(KernelsDispatchTest, ForceBackendRoutesGetAndResetRestoresAuto) {
   EXPECT_FALSE(DispatchExplanation().empty());
 }
 
-TEST(KernelsParityTest, MttkrpRowBitExactAcrossBackends) {
+TEST(KernelsParityTest, MttkrpCooSingleEntryBitExactAcrossBackends) {
   Rng rng(1);
   for (size_t rank : kLengths) {
     for (size_t num_rows : {1u, 2u, 3u, 5u}) {
+      // One non-zero at the origin of an (num_rows + 1)-way tensor with
+      // one-row factors; mode 0 is the target.
       std::vector<std::vector<double>> rows_storage;
       std::vector<const double*> rows;
       for (size_t m = 0; m < num_rows; ++m) {
@@ -80,14 +108,16 @@ TEST(KernelsParityTest, MttkrpRowBitExactAcrossBackends) {
       }
       const double value = rng.NextGaussian();
       const std::vector<double> seed = RandomVector(rank, rng);
+      std::vector<const double*> factors = {seed.data()};
+      factors.insert(factors.end(), rows.begin(), rows.end());
+      const std::vector<uint64_t> indices(num_rows + 1, 0);
 
       std::vector<double> want = seed;
-      Get(Backend::kScalar)
-          .mttkrp_row(value, rows.data(), num_rows, rank, want.data());
+      MttkrpRowReference(value, rows.data(), num_rows, rank, want.data());
       for (Backend backend : SupportedBackends()) {
         std::vector<double> got = seed;
-        Get(backend).mttkrp_row(value, rows.data(), num_rows, rank,
-                                got.data());
+        Get(backend).mttkrp_coo(indices.data(), &value, 1, num_rows + 1, 0,
+                                factors.data(), rank, got.data());
         for (size_t f = 0; f < rank; ++f) {
           ASSERT_EQ(want[f], got[f])
               << BackendName(backend) << " rank=" << rank
@@ -128,19 +158,20 @@ TEST(KernelsParityTest, HadamardCombineBitExactIncludingEmptyProduct) {
   }
 }
 
-TEST(KernelsParityTest, GramRankUpdateBitExactForGramAndCrossGram) {
+TEST(KernelsParityTest, GramUpdateRowsSingleRowBitExactForGramAndCrossGram) {
   Rng rng(3);
+  const uint64_t row = 0;
   for (size_t rank : kLengths) {
     const std::vector<double> x = RandomVector(rank, rng);
     const std::vector<double> y = RandomVector(rank, rng);
     const std::vector<double> seed = RandomVector(rank * rank, rng);
     for (const double* second : {x.data(), y.data()}) {
       std::vector<double> want = seed;
-      Get(Backend::kScalar)
-          .gram_rank_update(x.data(), second, rank, want.data());
+      GramRankUpdateReference(x.data(), second, rank, want.data());
       for (Backend backend : SupportedBackends()) {
         std::vector<double> got = seed;
-        Get(backend).gram_rank_update(x.data(), second, rank, got.data());
+        Get(backend).gram_update_rows(x.data(), second, &row, 1, rank,
+                                      got.data());
         for (size_t i = 0; i < rank * rank; ++i) {
           ASSERT_EQ(want[i], got[i])
               << BackendName(backend) << " rank=" << rank << " i=" << i;
@@ -194,6 +225,216 @@ TEST(KernelsParityTest, TopKScoreBlockMatchesDotStridedBitExactly) {
       for (size_t j = 0; j < num_rows; ++j) {
         ASSERT_EQ(want[j], got[j])
             << BackendName(backend) << " rank=" << rank << " j=" << j;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Row-batched kernels: each must be bit-identical on every backend to the
+// sequence of per-row operations it replaces (the test-local references
+// above, or scalar-table calls that are themselves bit-exact against every
+// backend). Compared with memcmp so even the sign of a zero must agree.
+
+const size_t kBatchRanks[] = {1, 7, 8, 10, 17, 33};
+
+::testing::AssertionResult SameBits(const std::vector<double>& want,
+                                    const std::vector<double>& got) {
+  if (want.size() == got.size() &&
+      (want.empty() || std::memcmp(want.data(), got.data(),
+                                   want.size() * sizeof(double)) == 0)) {
+    return ::testing::AssertionSuccess();
+  }
+  for (size_t i = 0; i < std::min(want.size(), got.size()); ++i) {
+    if (std::memcmp(&want[i], &got[i], sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << "first difference at " << i << ": " << want[i] << " vs "
+             << got[i];
+    }
+  }
+  return ::testing::AssertionFailure() << "size " << want.size() << " vs "
+                                       << got.size();
+}
+
+TEST(KernelsBatchedTest, MttkrpCooMatchesPerNonZeroReference) {
+  Rng rng(11);
+  for (size_t rank : kBatchRanks) {
+    for (size_t order : {2u, 3u, 4u}) {
+      const std::vector<uint64_t> dims = {5, 3, 4, 2};
+      std::vector<std::vector<double>> factors;
+      std::vector<const double*> factor_ptrs;
+      for (size_t m = 0; m < order; ++m) {
+        factors.push_back(RandomVector(dims[m] * rank, rng));
+        factor_ptrs.push_back(factors.back().data());
+      }
+      for (size_t nnz : {0u, 1u, 13u, 50u}) {
+        for (bool grouped : {false, true}) {
+          // Random entries; `grouped` sorts them by mode-0 index (stable),
+          // giving multi-entry runs, otherwise runs are mostly length 1.
+          std::vector<uint64_t> indices(nnz * order);
+          for (size_t e = 0; e < nnz; ++e) {
+            for (size_t m = 0; m < order; ++m) {
+              indices[e * order + m] = rng.NextBounded(dims[m]);
+            }
+          }
+          const std::vector<double> values = RandomVector(nnz, rng);
+          std::vector<size_t> perm(nnz);
+          std::iota(perm.begin(), perm.end(), 0);
+          if (grouped) {
+            std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
+              return indices[a * order] < indices[b * order];
+            });
+          }
+          std::vector<uint64_t> sorted_idx;
+          std::vector<double> sorted_val;
+          for (size_t e : perm) {
+            sorted_idx.insert(sorted_idx.end(), indices.begin() + e * order,
+                              indices.begin() + (e + 1) * order);
+            sorted_val.push_back(values[e]);
+          }
+          for (size_t mode = 0; mode < order; ++mode) {
+            const std::vector<double> seed =
+                RandomVector(dims[mode] * rank, rng);
+            std::vector<double> want = seed;
+            for (size_t e = 0; e < nnz; ++e) {
+              const uint64_t* idx = sorted_idx.data() + e * order;
+              std::vector<const double*> rows;
+              for (size_t m = 0; m < order; ++m) {
+                if (m != mode) rows.push_back(factor_ptrs[m] + idx[m] * rank);
+              }
+              MttkrpRowReference(sorted_val[e], rows.data(), rows.size(),
+                                 rank, want.data() + idx[mode] * rank);
+            }
+            for (Backend backend : SupportedBackends()) {
+              std::vector<double> got = seed;
+              Get(backend).mttkrp_coo(sorted_idx.data(), sorted_val.data(),
+                                      nnz, order, mode, factor_ptrs.data(),
+                                      rank, got.data());
+              EXPECT_TRUE(SameBits(want, got))
+                  << BackendName(backend) << " rank=" << rank
+                  << " order=" << order << " nnz=" << nnz
+                  << " grouped=" << grouped << " mode=" << mode;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsBatchedTest, GramUpdateRowsMatchesPerRowReference) {
+  Rng rng(12);
+  for (size_t rank : kBatchRanks) {
+    const size_t table_rows = 40;
+    const std::vector<double> x = RandomVector(table_rows * rank, rng);
+    const std::vector<double> y = RandomVector(table_rows * rank, rng);
+    // 130 rows cross the kernels' 128-row cache block; indices repeat and
+    // are unordered.
+    for (size_t num_rows : {0u, 1u, 3u, 5u, 13u, 130u}) {
+      std::vector<uint64_t> rows(num_rows);
+      for (uint64_t& r : rows) r = rng.NextBounded(table_rows);
+      const std::vector<double> seed = RandomVector(rank * rank, rng);
+      for (const double* xs : {y.data(), x.data()}) {
+        std::vector<double> want = seed;
+        for (uint64_t r : rows) {
+          GramRankUpdateReference(xs + r * rank, y.data() + r * rank, rank,
+                                  want.data());
+        }
+        for (Backend backend : SupportedBackends()) {
+          std::vector<double> got = seed;
+          Get(backend).gram_update_rows(xs, y.data(), rows.data(), num_rows,
+                                        rank, got.data());
+          EXPECT_TRUE(SameBits(want, got))
+              << BackendName(backend) << " rank=" << rank
+              << " rows=" << num_rows;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsBatchedTest, RowTimesMatrixMatchesPerColumnDotStrided) {
+  Rng rng(13);
+  for (size_t rank : kBatchRanks) {
+    for (int trial = 0; trial < 5; ++trial) {
+      const std::vector<double> x = RandomVector(rank, rng);
+      const std::vector<double> m = RandomVector(rank * rank, rng);
+      std::vector<double> want(rank);
+      for (size_t c = 0; c < rank; ++c) {
+        want[c] = Get(Backend::kScalar)
+                      .dot_strided(x.data(), 1, m.data() + c, rank, rank);
+      }
+      for (Backend backend : SupportedBackends()) {
+        std::vector<double> got(rank);
+        Get(backend).row_times_matrix(x.data(), m.data(), rank, got.data());
+        EXPECT_TRUE(SameBits(want, got))
+            << BackendName(backend) << " rank=" << rank;
+      }
+    }
+  }
+}
+
+/// The per-row forward/back substitution loop cholesky_solve_rows
+/// replaces, copied verbatim: y in a separate buffer, then the back pass.
+std::vector<double> PerRowCholeskySolve(const std::vector<double>& lower,
+                                        size_t n,
+                                        const std::vector<double>& rhs) {
+  std::vector<double> x(rhs.size());
+  std::vector<double> y(n);
+  for (size_t r = 0; r < rhs.size() / n; ++r) {
+    const double* b = rhs.data() + r * n;
+    for (size_t i = 0; i < n; ++i) {
+      double sum = b[i];
+      for (size_t k = 0; k < i; ++k) sum -= lower[i * n + k] * y[k];
+      y[i] = sum / lower[i * n + i];
+    }
+    double* out = x.data() + r * n;
+    for (size_t ii = n; ii-- > 0;) {
+      double sum = y[ii];
+      for (size_t k = ii + 1; k < n; ++k) sum -= lower[k * n + ii] * out[k];
+      out[ii] = sum / lower[ii * n + ii];
+    }
+  }
+  return x;
+}
+
+TEST(KernelsBatchedTest, CholeskySolveRowsMatchesPerRowLoop) {
+  Rng rng(14);
+  std::vector<size_t> ranks(std::begin(kBatchRanks), std::end(kBatchRanks));
+  ranks.push_back(70);
+  for (size_t rank : ranks) {
+    const Matrix basis = Matrix::Random(rank + 3, rank, rng);
+    Matrix gram(rank, rank);
+    for (size_t i = 0; i < rank; ++i) {
+      for (size_t j = 0; j < rank; ++j) {
+        double sum = 0.0;
+        for (size_t r = 0; r < basis.rows(); ++r) {
+          sum += basis(r, i) * basis(r, j);
+        }
+        gram(i, j) = sum + (i == j ? 0.5 : 0.0);
+      }
+    }
+    Matrix lower_m;
+    ASSERT_TRUE(CholeskyFactor(gram, &lower_m).ok());
+    const std::vector<double> lower(lower_m.data(),
+                                    lower_m.data() + rank * rank);
+    // Row counts around the 4-, 8- and 16-lane block widths.
+    for (size_t num_rows : {0u, 1u, 3u, 5u, 7u, 9u, 15u, 17u, 33u}) {
+      const std::vector<double> rhs = RandomVector(num_rows * rank, rng);
+      const std::vector<double> want = PerRowCholeskySolve(lower, rank, rhs);
+      for (Backend backend : SupportedBackends()) {
+        std::vector<double> got(rhs.size());
+        Get(backend).cholesky_solve_rows(lower.data(), rank, rhs.data(),
+                                         num_rows, got.data());
+        EXPECT_TRUE(SameBits(want, got))
+            << BackendName(backend) << " rank=" << rank
+            << " rows=" << num_rows;
+        std::vector<double> in_place = rhs;
+        Get(backend).cholesky_solve_rows(lower.data(), rank, in_place.data(),
+                                         num_rows, in_place.data());
+        EXPECT_TRUE(SameBits(want, in_place))
+            << BackendName(backend) << " in place, rank=" << rank
+            << " rows=" << num_rows;
       }
     }
   }

@@ -169,5 +169,77 @@ TEST(StreamingSequenceTest, FirstDeltaIsFirstSnapshot) {
   EXPECT_TRUE(seq.DeltaAt(0) == seq.SnapshotAt(0));
 }
 
+// The arrival index must reproduce the filter-based definitions exactly:
+// DeltaAt(t) is RelativeComplement(SnapshotAt(t), DimsAt(t-1)) — same dims,
+// same entries, same order, same bits (operator== compares all three) — and
+// SnapshotNnz(t) is SnapshotAt(t).nnz().
+void ExpectIndexMatchesFilters(const StreamingTensorSequence& seq) {
+  for (size_t t = 0; t < seq.num_steps(); ++t) {
+    const SparseTensor snapshot = seq.SnapshotAt(t);
+    const SparseTensor want =
+        t == 0 ? snapshot : RelativeComplement(snapshot, seq.DimsAt(t - 1));
+    EXPECT_TRUE(seq.DeltaAt(t) == want) << "step " << t;
+    EXPECT_EQ(seq.SnapshotNnz(t), snapshot.nnz()) << "step " << t;
+  }
+}
+
+SparseTensor RandomTensor(const std::vector<uint64_t>& dims, size_t draws,
+                          Rng& rng) {
+  SparseTensor t(dims);
+  std::vector<uint64_t> idx(dims.size());
+  for (size_t e = 0; e < draws; ++e) {
+    for (size_t m = 0; m < dims.size(); ++m) idx[m] = rng.NextBounded(dims[m]);
+    t.Add(idx, rng.NextDouble(-1.0, 1.0));
+  }
+  return t;  // unsorted, with duplicates: the index must not assume either
+}
+
+TEST(StreamingSequenceTest, ArrivalIndexMatchesFiltersOnRandomSchedules) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t order = 1 + rng.NextBounded(4);
+    std::vector<uint64_t> dims(order);
+    for (uint64_t& d : dims) d = 1 + rng.NextBounded(9);
+    SparseTensor full = RandomTensor(dims, rng.NextBounded(120), rng);
+    // Weakly growing schedule: some modes never grow, some steps repeat,
+    // and the last box may stop short of the full tensor.
+    const size_t steps = 1 + rng.NextBounded(6);
+    std::vector<std::vector<uint64_t>> schedule(steps,
+                                                std::vector<uint64_t>(order));
+    for (size_t m = 0; m < order; ++m) {
+      const bool grows = rng.NextBounded(3) != 0;
+      uint64_t size = 1 + rng.NextBounded(dims[m]);
+      for (size_t t = 0; t < steps; ++t) {
+        if (grows && t > 0) size += rng.NextBounded(dims[m] - size + 1);
+        schedule[t][m] = size;
+      }
+    }
+    ExpectIndexMatchesFilters(
+        StreamingTensorSequence(std::move(full), std::move(schedule)));
+  }
+}
+
+TEST(StreamingSequenceTest, ArrivalIndexOneStepAndStaticModes) {
+  Rng rng(7);
+  // One step covering everything.
+  ExpectIndexMatchesFilters(
+      StreamingTensorSequence(RandomTensor({5, 4}, 30, rng), {{5, 4}}));
+  // One step covering part of the tensor.
+  ExpectIndexMatchesFilters(
+      StreamingTensorSequence(RandomTensor({5, 4}, 30, rng), {{2, 3}}));
+  // Only mode 1 grows; mode 0 stays at full size throughout.
+  ExpectIndexMatchesFilters(StreamingTensorSequence(
+      RandomTensor({6, 6, 3}, 80, rng), {{6, 1, 3}, {6, 3, 3}, {6, 6, 3}}));
+  // Nothing grows: every later delta is empty.
+  const StreamingTensorSequence flat(RandomTensor({4, 4}, 20, rng),
+                                     {{3, 3}, {3, 3}, {3, 3}});
+  ExpectIndexMatchesFilters(flat);
+  EXPECT_EQ(flat.DeltaAt(2).nnz(), 0u);
+  EXPECT_EQ(flat.DeltaAt(2).dims(), flat.DimsAt(2));
+  // An empty tensor.
+  ExpectIndexMatchesFilters(
+      StreamingTensorSequence(SparseTensor({3, 3}), {{1, 1}, {3, 3}}));
+}
+
 }  // namespace
 }  // namespace dismastd
