@@ -2,7 +2,8 @@
 // DisMASTD: sparse MTTKRP (the bottleneck operator, §IV-B1), Khatri-Rao and
 // Gram products, the R x R Cholesky normal-equation solve, the row-batched
 // update kernels next to the per-row calls they replace (ns_per_row at
-// R = 10), the GTP/MTP partitioners, and a whole simulated distributed step.
+// R = 10), the ANN shortlist and LSH encode (ns_per_row), the GTP/MTP
+// partitioners, and a whole simulated distributed step.
 //
 // Run with --threads N to set the execution engine's thread count for
 // BM_DisMastdStep (0 = all cores); compare --threads 1 vs --threads 8 to
@@ -42,6 +43,7 @@
 #include "la/solve.h"
 #include "partition/gtp.h"
 #include "partition/mtp.h"
+#include "ann/lsh_index.h"
 #include "serve/servable_model.h"
 #include "stream/generator.h"
 #include "tensor/mttkrp.h"
@@ -348,6 +350,72 @@ BENCHMARK(BM_TopKScore)
     ->Args({10, 1})
     ->Args({10, 100})
     ->Args({10, 1000});
+
+// ---------------------------------------------------------------------------
+// The ANN plane at the perfbench serve_topk shape: J = 300k candidate rows
+// of R = 10, shortlists of 1000 rows. Both report ns_per_row.
+
+constexpr size_t kAnnBenchRows = 300000;
+
+void BM_HammingShortlist(benchmark::State& state) {
+  // One AnnIndex::Shortlist call: query encode, the fused Hamming scan +
+  // histogram over J codes, and the block-skipping select. Arg = code
+  // words per row (1 -> 64-bit, 4 -> 256-bit codes).
+  const size_t words = static_cast<size_t>(state.range(0));
+  Rng rng(31);
+  std::vector<Matrix> factors;
+  factors.push_back(Matrix::RandomGaussian(kAnnBenchRows, kRowBenchRank, rng));
+  factors.push_back(Matrix::RandomGaussian(8, kRowBenchRank, rng));
+  ann::LshOptions options;
+  options.bits = 64 * words;
+  const auto index = ann::AnnIndex::Build(KruskalTensor(std::move(factors)),
+                                          options, nullptr, nullptr);
+  constexpr size_t kNumQueries = 64;
+  std::vector<std::vector<double>> queries(kNumQueries);
+  for (auto& q : queries) {
+    q.resize(kRowBenchRank);
+    for (double& w : q) w = rng.NextDouble(-1.0, 1.0);
+  }
+  size_t cursor = 0;
+  for (auto _ : state) {
+    const std::vector<uint32_t> shortlist =
+        index->Shortlist(0, queries[cursor].data(), 1000);
+    benchmark::DoNotOptimize(shortlist.data());
+    cursor = (cursor + 1) % kNumQueries;
+  }
+  SetNsPerRow(state, kAnnBenchRows);
+}
+BENCHMARK(BM_HammingShortlist)->Arg(1)->Arg(4);
+
+void BM_LshEncodeRows(benchmark::State& state) {
+  // Sign-encoding augmented rows (R + 1 = 11 doubles) against `bits`
+  // hyperplanes: arg 1 = 0 makes one one-row call per row (the query
+  // path), 1 one batched call over all rows (the index build path).
+  const size_t bits = static_cast<size_t>(state.range(0));
+  const bool batched = state.range(1) != 0;
+  const ann::LshHyperplanes planes(bits, kRowBenchRank, ann::LshOptions{}.seed);
+  Rng rng(32);
+  const Matrix aug =
+      Matrix::RandomGaussian(kRowBenchRows, kRowBenchRank + 1, rng);
+  std::vector<uint64_t> codes(kRowBenchRows * planes.words());
+  for (auto _ : state) {
+    if (batched) {
+      planes.Encode(aug.data(), kRowBenchRows, codes.data());
+    } else {
+      for (size_t r = 0; r < kRowBenchRows; ++r) {
+        planes.Encode(aug.RowPtr(r), 1, codes.data() + r * planes.words());
+      }
+    }
+    benchmark::DoNotOptimize(codes.data());
+    benchmark::ClobberMemory();
+  }
+  SetNsPerRow(state, kRowBenchRows);
+}
+BENCHMARK(BM_LshEncodeRows)
+    ->Args({64, 0})
+    ->Args({64, 1})
+    ->Args({256, 0})
+    ->Args({256, 1});
 
 void BM_DisMastdStep(benchmark::State& state) {
   // One full simulated distributed decomposition step (partitioning plus

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <numeric>
 
 #include "common/logging.h"
@@ -19,6 +20,17 @@ double RowNormSquared(const double* row, size_t rank) {
   return kernels::Get().dot_strided(row, 1, row, 1, rank);
 }
 
+/// Rows per selection block: one 64-byte line of u16 distances.
+constexpr size_t kSelectBlock = 32;
+
+/// Whether any of the kSelectBlock distances at `dists` is <= cut.
+/// Branch-free over a fixed-size block, so the compiler vectorizes it.
+bool AnyAtMost(const uint16_t* dists, uint16_t cut) {
+  unsigned hit = 0;
+  for (size_t i = 0; i < kSelectBlock; ++i) hit |= dists[i] <= cut ? 1u : 0u;
+  return hit != 0;
+}
+
 /// The augmented coordinate sqrt(M² - ‖row‖²), clamped at zero so fp
 /// round-off on the max-norm row cannot produce a NaN.
 double AugCoordinate(double norm_sq, double aug_norm) {
@@ -30,19 +42,20 @@ double AugCoordinate(double norm_sq, double aug_norm) {
 
 LshHyperplanes::LshHyperplanes(size_t bits, size_t rank, uint64_t seed)
     : bits_(bits), rank_(rank), seed_(seed) {
-  DISMASTD_CHECK(bits >= 1);
+  DISMASTD_CHECK(bits >= 1 && bits <= kMaxLshBits);
+  // Drawn plane by plane, in the order of Matrix::RandomGaussian(bits,
+  // rank + 1), straight into the transposed layout.
+  planes_t_ = Matrix(rank + 1, bits);
   Rng rng(seed);
-  planes_ = Matrix::RandomGaussian(bits, rank + 1, rng);
+  for (size_t b = 0; b < bits; ++b) {
+    for (size_t c = 0; c <= rank; ++c) planes_t_(c, b) = rng.NextGaussian();
+  }
 }
 
-void LshHyperplanes::Encode(const double* aug, uint64_t* code) const {
-  const size_t num_words = words();
-  for (size_t w = 0; w < num_words; ++w) code[w] = 0;
-  const auto& kt = kernels::Get();
-  for (size_t b = 0; b < bits_; ++b) {
-    const double dot = kt.dot_strided(planes_.RowPtr(b), 1, aug, 1, rank_ + 1);
-    if (dot >= 0.0) code[b / 64] |= uint64_t{1} << (b % 64);
-  }
+void LshHyperplanes::Encode(const double* aug, size_t num_rows,
+                            uint64_t* codes) const {
+  kernels::Get().sign_encode_rows(planes_t_.data(), rank_ + 1, bits_, aug,
+                                  num_rows, codes);
 }
 
 std::shared_ptr<const AnnIndex> AnnIndex::Build(
@@ -68,8 +81,14 @@ std::shared_ptr<const AnnIndex> AnnIndex::Build(
                          previous_factors->order() == factors.order() &&
                          previous_factors->rank() == rank;
 
+  // Runs of consecutive rows to (re)hash are gathered as augmented rows,
+  // up to kEncodeBatch at a time, and sign-encoded by one batched kernel
+  // call straight into the codes.
+  constexpr size_t kEncodeBatch = 256;
+  const size_t dim = rank + 1;
+  std::vector<double> aug(kEncodeBatch * dim);
+
   index->modes_.resize(factors.order());
-  std::vector<double> aug(rank + 1, 0.0);
   std::vector<double> norms_sq;
   for (size_t m = 0; m < factors.order(); ++m) {
     const Matrix& f = factors.factor(m);
@@ -101,21 +120,34 @@ std::shared_ptr<const AnnIndex> AnnIndex::Build(
     }
     mode.aug_norm = prev_mode != nullptr ? prev_mode->aug_norm : fresh_norm;
 
+    size_t run_begin = 0;  // first row of the gathered run
+    size_t run_rows = 0;
+    auto encode_run = [&] {
+      if (run_rows == 0) return;
+      planes.Encode(aug.data(), run_rows,
+                    mode.codes.data() + run_begin * num_words);
+      run_rows = 0;
+    };
     for (size_t r = 0; r < mode.num_rows; ++r) {
       const double* row = f.RowPtr(r);
       if (prev_mode != nullptr && r < prev_mode->num_rows &&
           std::memcmp(row, prev_factor->RowPtr(r), rank * sizeof(double)) ==
               0) {
+        encode_run();
         std::memcpy(mode.codes.data() + r * num_words, prev_mode->RowCode(r),
                     num_words * sizeof(uint64_t));
         ++mode.reused_rows;
         continue;
       }
-      std::memcpy(aug.data(), row, rank * sizeof(double));
-      aug[rank] = AugCoordinate(norms_sq[r], mode.aug_norm);
-      planes.Encode(aug.data(), mode.codes.data() + r * num_words);
+      if (run_rows == 0) run_begin = r;
+      double* a = aug.data() + run_rows * dim;
+      std::memcpy(a, row, rank * sizeof(double));
+      a[rank] = AugCoordinate(norms_sq[r], mode.aug_norm);
+      ++run_rows;
       ++mode.hashed_rows;
+      if (run_rows == kEncodeBatch) encode_run();
     }
+    encode_run();
   }
   return index;
 }
@@ -147,19 +179,20 @@ std::vector<uint32_t> AnnIndex::Shortlist(size_t mode_index,
   const size_t rank = planes_.rank();
   std::vector<double> aug(rank + 1, 0.0);
   std::memcpy(aug.data(), weights, rank * sizeof(double));
-  std::vector<uint64_t> qcode(mode.words, 0);
-  planes_.Encode(aug.data(), qcode.data());
+  std::vector<uint64_t> qcode(mode.words);
+  planes_.Encode(aug.data(), 1, qcode.data());
 
-  std::vector<uint32_t> dists(mode.num_rows);
-  kernels::Get().hamming_block(mode.codes.data(), mode.num_rows, mode.words,
-                               qcode.data(), dists.data());
+  // One pass over the codes yields the distances and their histogram. The
+  // scan writes every distance, so the buffer is left uninitialized.
+  std::unique_ptr<uint16_t[]> dists(new uint16_t[mode.num_rows]);
+  std::vector<uint32_t> hist(mode.words * 64 + 1, 0);
+  kernels::Get().hamming_scan(mode.codes.data(), mode.num_rows, mode.words,
+                              qcode.data(), dists.get(), hist.data());
 
-  // Counting-select over the (bits+1)-valued distance range: find the
-  // cut-off distance, then take every row strictly below it plus the
-  // lowest-indexed ties at the cut-off. O(J), no heap, and deterministic
-  // regardless of scan order or selection-algorithm implementation.
-  std::vector<size_t> hist(planes_.bits() + 2, 0);
-  for (uint32_t d : dists) ++hist[d];
+  // Counting-select over the distance range: find the cut-off distance,
+  // then take every row strictly below it plus the lowest-indexed ties at
+  // the cut-off. O(J), no heap, and deterministic regardless of scan order
+  // or selection-algorithm implementation.
   size_t cutoff = 0;
   size_t below = 0;
   while (below + hist[cutoff] < shortlist_size) {
@@ -168,15 +201,28 @@ std::vector<uint32_t> AnnIndex::Shortlist(size_t mode_index,
   }
   size_t ties_budget = shortlist_size - below;
 
+  // Selection walks the distances in blocks of kSelectBlock and skips
+  // every full block with no distance <= cutoff (most of them: the
+  // shortlist is a small fraction of J). It stops once the shortlist is
+  // full, which happens only after the last row below the cut-off.
+  const uint16_t cut = static_cast<uint16_t>(cutoff);
   std::vector<uint32_t> shortlist;
   shortlist.reserve(shortlist_size);
-  for (uint32_t r = 0; r < mode.num_rows; ++r) {
-    const uint32_t d = dists[r];
-    if (d < cutoff) {
-      shortlist.push_back(r);
-    } else if (d == cutoff && ties_budget > 0) {
-      shortlist.push_back(r);
-      --ties_budget;
+  for (size_t begin = 0;
+       begin < mode.num_rows && shortlist.size() < shortlist_size;
+       begin += kSelectBlock) {
+    const size_t end = std::min(mode.num_rows, begin + kSelectBlock);
+    if (end - begin == kSelectBlock && !AnyAtMost(dists.get() + begin, cut)) {
+      continue;
+    }
+    for (size_t r = begin; r < end; ++r) {
+      const uint16_t d = dists[r];
+      if (d < cut) {
+        shortlist.push_back(static_cast<uint32_t>(r));
+      } else if (d == cut && ties_budget > 0) {
+        shortlist.push_back(static_cast<uint32_t>(r));
+        --ties_budget;
+      }
     }
   }
   return shortlist;

@@ -13,7 +13,8 @@
 //      shortlist) are scanned by Hamming distance — 64..256 bits per row
 //      instead of R doubles, an order of magnitude less memory traffic —
 //      and the `shortlist_size` nearest codes are selected by an exact
-//      counting-select (no heap, deterministic index tie-breaking);
+//      counting-select (no heap, deterministic index tie-breaking) whose
+//      histogram the scan kernel fills in the same pass;
 //   2. exact re-rank: the caller rescores just the shortlist through the
 //      canonical fp64/bf16/int8 top-K kernels, so returned scores are
 //      bit-identical to what the brute-force scan would have produced for
@@ -29,7 +30,8 @@
 //
 // Determinism contract: hyperplanes are drawn from a seeded Rng; every
 // dot product routes through the dispatched kernel table's fp64
-// `dot_strided` (bit-exact across backends); the Hamming scan is integer.
+// `dot_strided` or `sign_encode_rows` (both under the blocked-8 reduction
+// contract, so bit-exact across backends); the Hamming scan is integer.
 // Builds are single-pass in row order, so index bytes are bit-identical
 // across thread counts and kernel backends, and an incremental patch
 // (below) is a pure function of the publish history.
@@ -52,9 +54,12 @@
 namespace dismastd {
 namespace ann {
 
+/// Widest supported code: Hamming distances are held as u16.
+inline constexpr size_t kMaxLshBits = 4096;
+
 struct LshOptions {
   /// Hyperplanes per row = code width in bits. Rounded storage is
-  /// ceil(bits / 64) u64 words per row. Must be >= 1.
+  /// ceil(bits / 64) u64 words per row. Must be in [1, kMaxLshBits].
   size_t bits = 64;
   /// Seed of the hyperplane draw. Two indexes with the same
   /// (bits, rank, seed) share hyperplanes, which is what makes codes
@@ -63,7 +68,8 @@ struct LshOptions {
 };
 
 /// The seeded random hyperplanes of one index family: `bits` Gaussian
-/// vectors of dimension rank+1 (the MIPS-augmented space). Immutable after
+/// vectors of dimension rank+1 (the MIPS-augmented space), stored
+/// transposed for the lane-parallel encode kernel. Immutable after
 /// construction.
 class LshHyperplanes {
  public:
@@ -79,16 +85,17 @@ class LshHyperplanes {
     return bits_ == options.bits && seed_ == options.seed && rank_ == rank;
   }
 
-  /// Sign-encodes the augmented vector `aug` (rank+1 doubles) into
-  /// words() u64s: bit b set iff ⟨plane_b, aug⟩ >= 0. Dot products go
-  /// through the dispatched kernel table, so codes are backend-invariant.
-  void Encode(const double* aug, uint64_t* code) const;
+  /// Sign-encodes `num_rows` row-major augmented vectors `aug` (rank+1
+  /// doubles each) into words() u64s per row: bit b set iff
+  /// ⟨plane_b, aug⟩ >= 0. One call of the dispatched `sign_encode_rows`
+  /// kernel, so codes are backend-invariant.
+  void Encode(const double* aug, size_t num_rows, uint64_t* codes) const;
 
  private:
   size_t bits_ = 0;
   size_t rank_ = 0;
   uint64_t seed_ = 0;
-  Matrix planes_;  // bits x (rank + 1)
+  Matrix planes_t_;  // (rank + 1) x bits: column b is hyperplane b
 };
 
 /// Packed sign codes of one mode's candidate rows plus the augmentation

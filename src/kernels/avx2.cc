@@ -12,6 +12,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 namespace dismastd {
@@ -163,36 +164,67 @@ void GramUpdateRowsAvx2(const double* x, const double* y,
   }
 }
 
+/// The blocked-8 dots of x (n doubles) against the columns of `block`
+/// (starting at column c) of the row-major matrix m with row stride
+/// `stride`: p[l] holds blocked-8 partial l of four columns at once.
+/// Always inlined: as an out-of-line call GCC keeps p[] in memory.
+__attribute__((always_inline)) inline __m256d BlockedDotColumns4(
+    const double* x, const double* m, size_t n, size_t stride, size_t c,
+    const ColumnBlock& block) {
+  const size_t n8 = n & ~static_cast<size_t>(7);
+  __m256d p[8];
+  for (__m256d& lane : p) lane = _mm256_setzero_pd();
+  for (size_t i = 0; i < n8; i += 8) {
+    for (size_t l = 0; l < 8; ++l) {
+      p[l] = _mm256_add_pd(
+          p[l], _mm256_mul_pd(_mm256_set1_pd(x[i + l]),
+                              block.Load(m + (i + l) * stride + c)));
+    }
+  }
+  // Tail element n8 + l folds into partial l. The constant-bound loop
+  // keeps every p[l] in a register.
+  for (size_t l = 0; l < 8; ++l) {
+    if (n8 + l < n) {
+      p[l] = _mm256_add_pd(
+          p[l], _mm256_mul_pd(_mm256_set1_pd(x[n8 + l]),
+                              block.Load(m + (n8 + l) * stride + c)));
+    }
+  }
+  const __m256d q0 = _mm256_add_pd(p[0], p[4]);
+  const __m256d q1 = _mm256_add_pd(p[1], p[5]);
+  const __m256d q2 = _mm256_add_pd(p[2], p[6]);
+  const __m256d q3 = _mm256_add_pd(p[3], p[7]);
+  return _mm256_add_pd(_mm256_add_pd(q0, q2), _mm256_add_pd(q1, q3));
+}
+
 void RowTimesMatrixAvx2(const double* x, const double* m, size_t rank,
                         double* out) {
-  const size_t n8 = rank & ~static_cast<size_t>(7);
   for (size_t c = 0; c < rank; c += 4) {
     const ColumnBlock block(c, rank);
-    // p[l] holds blocked-8 partial l of four columns at once.
-    __m256d p[8];
-    for (__m256d& lane : p) lane = _mm256_setzero_pd();
-    for (size_t i = 0; i < n8; i += 8) {
-      for (size_t l = 0; l < 8; ++l) {
-        p[l] = _mm256_add_pd(
-            p[l], _mm256_mul_pd(_mm256_set1_pd(x[i + l]),
-                                block.Load(m + (i + l) * rank + c)));
-      }
+    block.Store(out + c, BlockedDotColumns4(x, m, rank, rank, c, block));
+  }
+}
+
+/// Four planes per vector: the signs of their blocked-8 dots land in the
+/// code as one 4-bit movemask. Lanes past `bits` are masked to +0.0 and
+/// their bits dropped.
+void SignEncodeRowsAvx2(const double* planes_t, size_t dim, size_t bits,
+                        const double* rows, size_t num_rows,
+                        uint64_t* codes) {
+  const size_t words = (bits + 63) / 64;
+  for (size_t j = 0; j < num_rows; ++j) {
+    const double* x = rows + j * dim;
+    uint64_t* code = codes + j * words;
+    for (size_t w = 0; w < words; ++w) code[w] = 0;
+    for (size_t b = 0; b < bits; b += 4) {
+      const ColumnBlock block(b, bits);
+      const __m256d dots = BlockedDotColumns4(x, planes_t, dim, bits, b, block);
+      const uint64_t live =
+          bits - b >= 4 ? 0xF : (uint64_t{1} << (bits - b)) - 1;
+      const uint64_t signs = static_cast<uint64_t>(_mm256_movemask_pd(
+          _mm256_cmp_pd(dots, _mm256_setzero_pd(), _CMP_GE_OQ)));
+      code[b / 64] |= (signs & live) << (b % 64);
     }
-    // Tail element n8 + l folds into partial l. The constant-bound loop
-    // keeps every p[l] in a register.
-    for (size_t l = 0; l < 8; ++l) {
-      if (n8 + l < rank) {
-        p[l] = _mm256_add_pd(
-            p[l], _mm256_mul_pd(_mm256_set1_pd(x[n8 + l]),
-                                block.Load(m + (n8 + l) * rank + c)));
-      }
-    }
-    const __m256d q0 = _mm256_add_pd(p[0], p[4]);
-    const __m256d q1 = _mm256_add_pd(p[1], p[5]);
-    const __m256d q2 = _mm256_add_pd(p[2], p[6]);
-    const __m256d q3 = _mm256_add_pd(p[3], p[7]);
-    block.Store(out + c, _mm256_add_pd(_mm256_add_pd(q0, q2),
-                                       _mm256_add_pd(q1, q3)));
   }
 }
 
@@ -399,30 +431,77 @@ inline __m256i Popcount64x4(__m256i v) {
   return _mm256_sad_epu8(_mm256_add_epi8(lo, hi), _mm256_setzero_si256());
 }
 
-void HammingBlockAvx2(const uint64_t* codes, size_t num_rows, size_t words,
-                      const uint64_t* query, uint32_t* dists) {
-  if (words == 1) {
-    // One code word per row: distance 4 rows at a time.
-    const __m256i q = _mm256_set1_epi64x(static_cast<long long>(query[0]));
-    const size_t n4 = num_rows & ~static_cast<size_t>(3);
-    size_t j = 0;
-    for (; j < n4; j += 4) {
-      const __m256i rows = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(codes + j));
-      const __m256i counts = Popcount64x4(_mm256_xor_si256(rows, q));
-      alignas(32) uint64_t c[4];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(c), counts);
-      dists[j] = static_cast<uint32_t>(c[0]);
-      dists[j + 1] = static_cast<uint32_t>(c[1]);
-      dists[j + 2] = static_cast<uint32_t>(c[2]);
-      dists[j + 3] = static_cast<uint32_t>(c[3]);
-    }
-    for (; j < num_rows; ++j) {
-      dists[j] = detail::Popcount64(codes[j] ^ query[0]);
-    }
-    return;
+/// Order-preserving pairwise lane sums of two vectors:
+/// [x0+x1, x2+x3, y0+y1, y2+y3].
+inline __m256i PairSums(__m256i x, __m256i y) {
+  const __m256i sums = _mm256_add_epi64(_mm256_unpacklo_epi64(x, y),
+                                        _mm256_unpackhi_epi64(x, y));
+  return _mm256_permute4x64_epi64(sums, _MM_SHUFFLE(3, 1, 2, 0));
+}
+
+/// Hamming distances of the 4 rows of kWords (1 or 4) words at `rows`, as
+/// 4 u64 lanes in row order. The rows are kWords contiguous vectors,
+/// XORed with the query repeated in every kWords-lane slot; log2(kWords)
+/// levels of PairSums fold each row's lanes into one, keeping row order.
+template <size_t kWords>
+inline __m256i HammingRows4(const uint64_t* rows, __m256i query_slots) {
+  __m256i v[kWords];
+  for (size_t s = 0; s < kWords; ++s) {
+    v[s] = Popcount64x4(_mm256_xor_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + 4 * s)),
+        query_slots));
   }
-  detail::HammingBlockScalar(codes, num_rows, words, query, dists);
+  for (size_t n = kWords; n > 1; n /= 2) {
+    for (size_t i = 0; i < n / 2; ++i) v[i] = PairSums(v[2 * i], v[2 * i + 1]);
+  }
+  return v[0];
+}
+
+template <size_t kWords>
+void HammingScanBlocks(const uint64_t* codes, size_t num_rows,
+                       const uint64_t* query, uint16_t* dists,
+                       uint32_t* hist) {
+  const __m256i query_slots = _mm256_setr_epi64x(
+      static_cast<long long>(query[0]),
+      static_cast<long long>(query[1 % kWords]),
+      static_cast<long long>(query[2 % kWords]),
+      static_cast<long long>(query[3 % kWords]));
+  detail::HammingHistogram histogram(kWords);
+  const size_t n4 = num_rows & ~static_cast<size_t>(3);
+  size_t j = 0;
+  for (; j < n4; j += 4) {
+    detail::PrefetchCodes(codes + j * kWords, (kWords + 1) / 2,
+                          codes + num_rows * kWords);
+    // The low 32 bits of the four u64 distances, narrowed to u16 and
+    // packed into one u64 that is both stored and counted from registers.
+    const __m256i d = _mm256_permutevar8x32_epi32(
+        HammingRows4<kWords>(codes + j * kWords, query_slots),
+        _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6));
+    const __m128i d32 = _mm256_castsi256_si128(d);
+    const uint64_t packed =
+        static_cast<uint64_t>(_mm_cvtsi128_si64(_mm_packus_epi32(d32, d32)));
+    std::memcpy(dists + j, &packed, sizeof(packed));
+    histogram.AddPacked4(packed);
+  }
+  detail::HammingScanTail(codes, j, num_rows, kWords, query, dists,
+                          &histogram);
+  histogram.FlushInto(hist);
+}
+
+/// The nibble-LUT scan covers the 64- and 256-bit codes; every other width
+/// runs the scalar hardware-popcount loop, which measured faster than a
+/// masked per-row LUT scan there.
+void HammingScanAvx2(const uint64_t* codes, size_t num_rows, size_t words,
+                     const uint64_t* query, uint16_t* dists, uint32_t* hist) {
+  switch (words) {
+    case 1:
+      return HammingScanBlocks<1>(codes, num_rows, query, dists, hist);
+    case 4:
+      return HammingScanBlocks<4>(codes, num_rows, query, dists, hist);
+    default:
+      return detail::HammingScanScalar(codes, num_rows, words, query, dists,
+                                       hist);
+  }
 }
 
 void F64ToBf16Plain(const double* src, size_t n, Bf16* dst) {
@@ -452,7 +531,8 @@ const KernelTable& Avx2Kernels() {
     t.topk_score_block_bf16 = TopKScoreBlockBf16Avx2;
     t.i8_dot = I8DotAvx2;
     t.topk_score_block_i8 = TopKScoreBlockI8Avx2;
-    t.hamming_block = HammingBlockAvx2;
+    t.sign_encode_rows = SignEncodeRowsAvx2;
+    t.hamming_scan = HammingScanAvx2;
     return t;
   }();
   return table;

@@ -162,39 +162,67 @@ void GramUpdateRowsAvx512(const double* x, const double* y,
   }
 }
 
+/// The blocked-8 dots of x (n doubles) against columns [c, c + 8) of the
+/// row-major matrix m (row stride `stride`), masked to `mask`: p[l] holds
+/// blocked-8 partial l of eight columns at once.
+/// Always inlined: as an out-of-line call GCC keeps p[] in memory.
+__attribute__((always_inline)) inline __m512d BlockedDotColumns8(
+    const double* x, const double* m, size_t n, size_t stride, size_t c,
+    __mmask8 mask) {
+  const size_t n8 = n & ~static_cast<size_t>(7);
+  __m512d p[8];
+  for (__m512d& lane : p) lane = _mm512_setzero_pd();
+  for (size_t i = 0; i < n8; i += 8) {
+    for (size_t l = 0; l < 8; ++l) {
+      p[l] = _mm512_add_pd(
+          p[l], _mm512_mul_pd(_mm512_set1_pd(x[i + l]),
+                              _mm512_maskz_loadu_pd(
+                                  mask, m + (i + l) * stride + c)));
+    }
+  }
+  // Tail element n8 + l folds into partial l. The constant-bound loop
+  // keeps every p[l] in a register.
+  for (size_t l = 0; l < 8; ++l) {
+    if (n8 + l < n) {
+      p[l] = _mm512_add_pd(
+          p[l], _mm512_mul_pd(_mm512_set1_pd(x[n8 + l]),
+                              _mm512_maskz_loadu_pd(
+                                  mask, m + (n8 + l) * stride + c)));
+    }
+  }
+  const __m512d q0 = _mm512_add_pd(p[0], p[4]);
+  const __m512d q1 = _mm512_add_pd(p[1], p[5]);
+  const __m512d q2 = _mm512_add_pd(p[2], p[6]);
+  const __m512d q3 = _mm512_add_pd(p[3], p[7]);
+  return _mm512_add_pd(_mm512_add_pd(q0, q2), _mm512_add_pd(q1, q3));
+}
+
 void RowTimesMatrixAvx512(const double* x, const double* m, size_t rank,
                           double* out) {
-  const size_t n8 = rank & ~static_cast<size_t>(7);
   for (size_t c = 0; c < rank; c += 8) {
     const __mmask8 mask = ColumnMask(c, rank);
-    // p[l] holds blocked-8 partial l of eight columns at once.
-    __m512d p[8];
-    for (__m512d& lane : p) lane = _mm512_setzero_pd();
-    for (size_t i = 0; i < n8; i += 8) {
-      for (size_t l = 0; l < 8; ++l) {
-        p[l] = _mm512_add_pd(
-            p[l], _mm512_mul_pd(_mm512_set1_pd(x[i + l]),
-                                _mm512_maskz_loadu_pd(
-                                    mask, m + (i + l) * rank + c)));
-      }
+    _mm512_mask_storeu_pd(out + c, mask,
+                          BlockedDotColumns8(x, m, rank, rank, c, mask));
+  }
+}
+
+/// Eight planes per vector: the sign of each plane's blocked-8 dot lands
+/// in the code as one byte-aligned 8-bit mask.
+void SignEncodeRowsAvx512(const double* planes_t, size_t dim, size_t bits,
+                          const double* rows, size_t num_rows,
+                          uint64_t* codes) {
+  const size_t words = (bits + 63) / 64;
+  for (size_t j = 0; j < num_rows; ++j) {
+    const double* x = rows + j * dim;
+    uint64_t* code = codes + j * words;
+    for (size_t w = 0; w < words; ++w) code[w] = 0;
+    for (size_t b = 0; b < bits; b += 8) {
+      const __mmask8 mask = ColumnMask(b, bits);
+      const __m512d dots = BlockedDotColumns8(x, planes_t, dim, bits, b, mask);
+      const __mmask8 signs =
+          _mm512_mask_cmp_pd_mask(mask, dots, _mm512_setzero_pd(), _CMP_GE_OQ);
+      code[b / 64] |= static_cast<uint64_t>(signs) << (b % 64);
     }
-    // Tail element n8 + l folds into partial l. The constant-bound loop
-    // keeps every p[l] in a register.
-    for (size_t l = 0; l < 8; ++l) {
-      if (n8 + l < rank) {
-        p[l] = _mm512_add_pd(
-            p[l], _mm512_mul_pd(_mm512_set1_pd(x[n8 + l]),
-                                _mm512_maskz_loadu_pd(
-                                    mask, m + (n8 + l) * rank + c)));
-      }
-    }
-    const __m512d q0 = _mm512_add_pd(p[0], p[4]);
-    const __m512d q1 = _mm512_add_pd(p[1], p[5]);
-    const __m512d q2 = _mm512_add_pd(p[2], p[6]);
-    const __m512d q3 = _mm512_add_pd(p[3], p[7]);
-    _mm512_mask_storeu_pd(
-        out + c, mask,
-        _mm512_add_pd(_mm512_add_pd(q0, q2), _mm512_add_pd(q1, q3)));
   }
 }
 
@@ -368,32 +396,110 @@ void Bf16ToF64Plain(const Bf16* src, size_t n, double* dst) {
 }
 
 #if defined(DISMASTD_KERNELS_HAVE_VPOPCNTDQ)
-/// VPOPCNTDQ Hamming scan: 8 rows' single-word codes per _mm512_popcnt_epi64.
-/// Compiled with a per-function target attribute — the base AVX-512 feature
-/// set this TU is built with does not include VPOPCNTDQ, so the table
-/// constructor checks CPUID before installing this pointer.
-__attribute__((target("avx512vpopcntdq")))
-void HammingBlockVpopcntdq(const uint64_t* codes, size_t num_rows,
-                           size_t words, const uint64_t* query,
-                           uint32_t* dists) {
-  if (words == 1) {
-    const __m512i q = _mm512_set1_epi64(static_cast<long long>(query[0]));
-    const size_t n8 = num_rows & ~static_cast<size_t>(7);
-    size_t j = 0;
-    for (; j < n8; j += 8) {
-      const __m512i rows =
-          _mm512_loadu_si512(reinterpret_cast<const void*>(codes + j));
-      const __m512i counts = _mm512_popcnt_epi64(_mm512_xor_si512(rows, q));
-      // 8 x u64 counts -> 8 x u32 dists.
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dists + j),
-                          _mm512_cvtepi64_epi32(counts));
-    }
-    for (; j < num_rows; ++j) {
-      dists[j] = detail::Popcount64(codes[j] ^ query[0]);
-    }
-    return;
+// The VPOPCNTDQ Hamming scan is compiled with a per-function target
+// attribute: the base AVX-512 feature set this TU is built with does not
+// include VPOPCNTDQ, so the table constructor checks CPUID before
+// installing it.
+#define DISMASTD_VPOPCNTDQ __attribute__((target("avx512vpopcntdq")))
+
+/// Order-preserving pairwise lane sums of two vectors: lanes 0..3 of the
+/// result are the sums of x's adjacent lane pairs, lanes 4..7 those of y.
+inline __m512i PairSums(__m512i x, __m512i y) {
+  const __m512i even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+  const __m512i odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+  return _mm512_add_epi64(_mm512_permutex2var_epi64(x, even, y),
+                          _mm512_permutex2var_epi64(x, odd, y));
+}
+
+/// Per-lane popcounts of one row of any width against the query, in
+/// masked 8-word chunks summed lane-wise: the row's distance is the sum of
+/// the lanes.
+DISMASTD_VPOPCNTDQ __attribute__((always_inline)) inline __m512i
+HammingRowLanes(const uint64_t* row, size_t words, const uint64_t* query) {
+  __m512i acc = _mm512_setzero_si512();
+  for (size_t c = 0; c < words; c += 8) {
+    const __mmask8 mask = ColumnMask(c, words);
+    acc = _mm512_add_epi64(
+        acc, _mm512_popcnt_epi64(
+                 _mm512_xor_si512(_mm512_maskz_loadu_epi64(mask, row + c),
+                                  _mm512_maskz_loadu_epi64(mask, query + c))));
   }
-  detail::HammingBlockScalar(codes, num_rows, words, query, dists);
+  return acc;
+}
+
+/// Hamming distances of the 8 rows at `rows`, as 8 u64 lanes in row order.
+/// kSlot lanes carry one row. For a compile-time width kWords in {1, 4}
+/// (kSlot = kWords) the 8 rows are kSlot contiguous vectors of 8 / kSlot
+/// rows each (four 256-bit rows fit in 2 zmm), XORed with the query
+/// repeated in every slot. For any other width (kWords = 0, kSlot = 8)
+/// vector r is row r's HammingRowLanes. Either way log2(kSlot) levels of
+/// PairSums fold each row's lanes into one, keeping row order.
+template <size_t kWords>
+DISMASTD_VPOPCNTDQ inline __m512i HammingRows8(const uint64_t* rows,
+                                               size_t words,
+                                               const uint64_t* query,
+                                               __m512i query_slots) {
+  constexpr size_t kSlot = kWords == 0 ? 8 : kWords;
+  __m512i v[kSlot];
+  if constexpr (kWords != 0) {
+    for (size_t s = 0; s < kSlot; ++s) {
+      v[s] = _mm512_popcnt_epi64(_mm512_xor_si512(
+          _mm512_loadu_si512(rows + 8 * s), query_slots));
+    }
+  } else {
+    // Fully unrolled, so v[] lives in registers.
+#pragma GCC unroll 8
+    for (size_t r = 0; r < 8; ++r) {
+      v[r] = HammingRowLanes(rows + r * words, words, query);
+    }
+  }
+  for (size_t n = kSlot; n > 1; n /= 2) {
+    for (size_t i = 0; i < n / 2; ++i) v[i] = PairSums(v[2 * i], v[2 * i + 1]);
+  }
+  return v[0];
+}
+
+template <size_t kWords>
+DISMASTD_VPOPCNTDQ void HammingScanBlocks(const uint64_t* codes,
+                                          size_t num_rows, size_t words,
+                                          const uint64_t* query,
+                                          uint16_t* dists, uint32_t* hist) {
+  alignas(64) uint64_t repeated[8];
+  for (size_t l = 0; l < 8; ++l) {
+    repeated[l] = query[l % std::min<size_t>(words, 8)];
+  }
+  const __m512i query_slots = _mm512_load_si512(repeated);
+  detail::HammingHistogram histogram(words);
+  const size_t n8 = num_rows & ~static_cast<size_t>(7);
+  size_t j = 0;
+  for (; j < n8; j += 8) {
+    detail::PrefetchCodes(codes + j * words, words, codes + num_rows * words);
+    const __m128i d = _mm512_cvtepi64_epi16(
+        HammingRows8<kWords>(codes + j * words, words, query, query_slots));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dists + j), d);
+    // Counted from registers: reloading the just-stored u16s would stall
+    // on store-to-load forwarding.
+    histogram.AddPacked4(static_cast<uint64_t>(_mm_cvtsi128_si64(d)));
+    histogram.AddPacked4(static_cast<uint64_t>(_mm_extract_epi64(d, 1)));
+  }
+  detail::HammingScanTail(codes, j, num_rows, words, query, dists,
+                          &histogram);
+  histogram.FlushInto(hist);
+}
+
+DISMASTD_VPOPCNTDQ void HammingScanVpopcntdq(const uint64_t* codes,
+                                             size_t num_rows, size_t words,
+                                             const uint64_t* query,
+                                             uint16_t* dists,
+                                             uint32_t* hist) {
+  switch (words) {
+    case 1:
+      return HammingScanBlocks<1>(codes, num_rows, words, query, dists, hist);
+    case 4:
+      return HammingScanBlocks<4>(codes, num_rows, words, query, dists, hist);
+    default:
+      return HammingScanBlocks<0>(codes, num_rows, words, query, dists, hist);
+  }
 }
 
 bool CpuHasVpopcntdq() { return __builtin_cpu_supports("avx512vpopcntdq"); }
@@ -418,9 +524,15 @@ const KernelTable& Avx512Kernels() {
     t.topk_score_block_bf16 = TopKScoreBlockBf16Avx512;
     t.i8_dot = I8DotAvx512;
     t.topk_score_block_i8 = TopKScoreBlockI8Avx512;
-    t.hamming_block = detail::HammingBlockScalar;
+    t.sign_encode_rows = SignEncodeRowsAvx512;
+    // Without VPOPCNTDQ the AVX2 nibble-LUT scan (every AVX-512 CPU has
+    // AVX2) is the fastest exact one.
+    t.hamming_scan = detail::HammingScanScalar;
+#if defined(DISMASTD_KERNELS_HAVE_AVX2)
+    t.hamming_scan = Avx2Kernels().hamming_scan;
+#endif
 #if defined(DISMASTD_KERNELS_HAVE_VPOPCNTDQ)
-    if (CpuHasVpopcntdq()) t.hamming_block = HammingBlockVpopcntdq;
+    if (CpuHasVpopcntdq()) t.hamming_scan = HammingScanVpopcntdq;
 #endif
     return t;
   }();

@@ -37,9 +37,9 @@ Result<Backend> ParseBackend(const std::string& text);
 /// hadamard_combine, gram_update_rows, cholesky_solve_rows) perform the same scalar operations in the same
 /// order in every backend, lane-parallel over independent outputs, so they
 /// are bit-exact across backends by construction. Reductions (dot_strided,
-/// row_times_matrix, topk_score_block) share a fixed blocking: 8
-/// independent partial sums, lane l accumulating elements l, l+8, l+16, ...
-/// with the tail element i folded into lane i mod 8, combined as
+/// row_times_matrix, sign_encode_rows, topk_score_block) share a fixed
+/// blocking: 8 independent partial sums, lane l accumulating elements l,
+/// l+8, l+16, ... with the tail element i folded into lane i mod 8, combined as
 /// ((p0+p4)+(p2+p6)) + ((p1+p5)+(p3+p7)) — exactly the tree an 8-lane
 /// vector reduction produces. No FMA contraction anywhere (backends are
 /// compiled with -ffp-contract=off and use separate mul/add intrinsics),
@@ -127,13 +127,30 @@ struct KernelTable {
                               size_t rank, const double* wscaled,
                               double* scores);
 
-  /// dists[j] = Σ_w popcount(codes[j*words + w] ^ query[w]): Hamming
-  /// distance between every packed row code and the query code — the ANN
-  /// shortlist scan (src/ann/). Pure integer arithmetic, so every backend
-  /// is exact and bit-identical by construction (AVX-512 uses VPOPCNTDQ
-  /// when the CPU has it).
-  void (*hamming_block)(const uint64_t* codes, size_t num_rows, size_t words,
-                        const uint64_t* query, uint32_t* dists);
+  /// The ANN shortlist scan (src/ann/): for j in [0, num_rows),
+  /// dists[j] = Σ_w popcount(codes[j*words + w] ^ query[w]) — the Hamming
+  /// distance between every packed row code and the query code — and
+  /// ++hist[dists[j]] in the same pass. `hist` has words*64 + 1 buckets and
+  /// is added into, not cleared. Requires words*64 <= 65535 so distances
+  /// fit u16. Handles any `words`: AVX-512 runs VPOPCNTDQ on every width
+  /// (when the CPU has it), AVX2 the nibble-LUT popcount on 1- and 4-word
+  /// codes and the scalar popcount loop on the others. Pure integer
+  /// arithmetic, so every backend is exact and bit-identical by
+  /// construction.
+  void (*hamming_scan)(const uint64_t* codes, size_t num_rows, size_t words,
+                       const uint64_t* query, uint16_t* dists,
+                       uint32_t* hist);
+
+  /// Random-hyperplane sign codes of num_rows row-major vectors of `dim`
+  /// doubles: bit b of row j's code (codes + j*ceil(bits/64); padding bits
+  /// zero) is set iff dot_strided(rows + j*dim, 1, planes_t + b, bits, dim)
+  /// >= 0, where planes_t is the dim x bits row-major (transposed) plane
+  /// matrix. Lane-parallel over planes under the blocked-8 contract, like
+  /// row_times_matrix, so each bit equals the per-plane dot's sign on
+  /// every backend.
+  void (*sign_encode_rows)(const double* planes_t, size_t dim, size_t bits,
+                           const double* rows, size_t num_rows,
+                           uint64_t* codes);
 };
 
 /// The table selected at startup: best CPUID-supported backend, overridden

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "kernels/kernels.h"
 
@@ -158,14 +159,106 @@ inline uint32_t Popcount64(uint64_t v) {
   return static_cast<uint32_t>(__builtin_popcountll(v));
 }
 
-inline void HammingBlockScalar(const uint64_t* codes, size_t num_rows,
-                               size_t words, const uint64_t* query,
-                               uint32_t* dists) {
+/// The histogram half of hamming_scan. Consecutive rows are counted into
+/// four interleaved sub-histograms ("ways"), so a run of equal distances
+/// updates four counters instead of one load-add-store chain serialized on
+/// store-to-load forwarding. The scans hand over distances packed four to
+/// a u64 straight from their registers. FlushInto adds the ways into the
+/// caller's histogram; the counts are integers, so the result does not
+/// depend on the split.
+class HammingHistogram {
+ public:
+  explicit HammingHistogram(size_t words)
+      : buckets_(words * 64 + 1), counts_(4 * buckets_, 0) {}
+
+  /// Counts four distances held as the u16 lanes of `packed`, lowest
+  /// first, one into each way.
+  void AddPacked4(uint64_t packed) {
+    uint32_t* ways = counts_.data();
+    ++ways[packed & 0xFFFF];
+    ++ways[buckets_ + ((packed >> 16) & 0xFFFF)];
+    ++ways[2 * buckets_ + ((packed >> 32) & 0xFFFF)];
+    ++ways[3 * buckets_ + (packed >> 48)];
+  }
+
+  void Add(uint16_t dist) { ++counts_[dist]; }
+
+  void FlushInto(uint32_t* hist) const {
+    const uint32_t* ways = counts_.data();
+    for (size_t b = 0; b < buckets_; ++b) {
+      hist[b] += (ways[b] + ways[buckets_ + b]) +
+                 (ways[2 * buckets_ + b] + ways[3 * buckets_ + b]);
+    }
+  }
+
+ private:
+  size_t buckets_;
+  std::vector<uint32_t> counts_;  // 4 ways of buckets_ counters
+};
+
+/// Prefetches the `lines` cache lines 4 KiB past `block` (a SIMD scan's
+/// current block of codes) unless that runs past `end`. Between queries
+/// the codes fall out of cache; the hardware streamer alone then leaves the
+/// scan about a quarter short of the core's read rate.
+inline void PrefetchCodes(const uint64_t* block, size_t lines,
+                          const uint64_t* end) {
+  constexpr size_t kAheadWords = 4096 / sizeof(uint64_t);
+  if (static_cast<size_t>(end - block) <= kAheadWords + 8 * lines) return;
+  for (size_t l = 0; l < lines; ++l) {
+    __builtin_prefetch(block + kAheadWords + 8 * l);
+  }
+}
+
+inline uint16_t HammingRowScalar(const uint64_t* row, size_t words,
+                                 const uint64_t* query) {
+  uint32_t d = 0;
+  for (size_t w = 0; w < words; ++w) d += Popcount64(row[w] ^ query[w]);
+  return static_cast<uint16_t>(d);
+}
+
+/// Rows [j, num_rows) one at a time: the scalar scan, and the SIMD scans'
+/// remainder rows.
+inline void HammingScanTail(const uint64_t* codes, size_t j, size_t num_rows,
+                            size_t words, const uint64_t* query,
+                            uint16_t* dists, HammingHistogram* histogram) {
+  for (; j < num_rows; ++j) {
+    dists[j] = HammingRowScalar(codes + j * words, words, query);
+    histogram->Add(dists[j]);
+  }
+}
+
+inline void HammingScanScalar(const uint64_t* codes, size_t num_rows,
+                              size_t words, const uint64_t* query,
+                              uint16_t* dists, uint32_t* hist) {
+  HammingHistogram histogram(words);
+  const size_t n4 = num_rows & ~static_cast<size_t>(3);
+  for (size_t j = 0; j < n4; j += 4) {
+    uint64_t packed = 0;
+    for (size_t l = 0; l < 4; ++l) {
+      const uint16_t d =
+          HammingRowScalar(codes + (j + l) * words, words, query);
+      dists[j + l] = d;
+      packed |= static_cast<uint64_t>(d) << (16 * l);
+    }
+    histogram.AddPacked4(packed);
+  }
+  HammingScanTail(codes, n4, num_rows, words, query, dists, &histogram);
+  histogram.FlushInto(hist);
+}
+
+/// The sign-encode contract in scalar form: one blocked-8 dot per plane.
+inline void SignEncodeRowsScalar(const double* planes_t, size_t dim,
+                                 size_t bits, const double* rows,
+                                 size_t num_rows, uint64_t* codes) {
+  const size_t words = (bits + 63) / 64;
   for (size_t j = 0; j < num_rows; ++j) {
-    const uint64_t* row = codes + j * words;
-    uint32_t d = 0;
-    for (size_t w = 0; w < words; ++w) d += Popcount64(row[w] ^ query[w]);
-    dists[j] = d;
+    uint64_t* code = codes + j * words;
+    for (size_t w = 0; w < words; ++w) code[w] = 0;
+    for (size_t b = 0; b < bits; ++b) {
+      if (DotBlocked(rows + j * dim, 1, planes_t + b, bits, dim) >= 0.0) {
+        code[b / 64] |= uint64_t{1} << (b % 64);
+      }
+    }
   }
 }
 

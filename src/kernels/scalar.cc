@@ -57,7 +57,8 @@ const KernelTable& ScalarKernels() {
     t.topk_score_block_bf16 = TopKScoreBlockBf16Scalar;
     t.i8_dot = detail::I8DotScalar;
     t.topk_score_block_i8 = TopKScoreBlockI8Scalar;
-    t.hamming_block = detail::HammingBlockScalar;
+    t.hamming_scan = detail::HammingScanScalar;
+    t.sign_encode_rows = detail::SignEncodeRowsScalar;
     return t;
   }();
   return table;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "kernels/kernels.h"
 #include "la/ops.h"
@@ -386,8 +387,12 @@ Result<TopKResult> ServableModel::TopKAnn(
       CombinationWeights(target_mode, anchor);
   const size_t candidates = static_cast<size_t>(dims_[target_mode]);
   if (probes == 0) probes = 1;
-  const size_t shortlist_size =
-      std::min(candidates, std::max(k, probes * k));
+  // probes * k saturates: a wrapped product would silently shrink the
+  // shortlist.
+  const size_t probed = k > std::numeric_limits<size_t>::max() / probes
+                            ? std::numeric_limits<size_t>::max()
+                            : probes * k;
+  const size_t shortlist_size = std::min(candidates, std::max(k, probed));
   const std::vector<uint32_t> shortlist =
       ann_index_->Shortlist(target_mode, weights.data(), shortlist_size);
 

@@ -257,6 +257,11 @@ TEST(CliTest, ServeBenchValidatesFlags) {
                            "--keep-depth", "0"},
                           &output)
                    .ok());
+  // Hamming distances are u16: codes wider than 4096 bits are refused.
+  const Status too_wide = RunCommand(
+      {"serve-bench", "--input", tensor_path, "--bits", "4097"}, &output);
+  EXPECT_EQ(too_wide.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(too_wide.ToString().find("4096"), std::string::npos) << too_wide;
   std::remove(tensor_path.c_str());
 }
 

@@ -244,6 +244,40 @@ TEST_F(QueryEngineTest, CachedSearchHitsAndNeverServesStaleVersions) {
   EXPECT_EQ(stats.stale_misses, 1u);
 }
 
+TEST_F(QueryEngineTest, CacheKeyKeepsTheHighBitsOfKAndProbes) {
+  // Queries that differ only above bit 31 of k or probes are different
+  // queries: neither may be answered from the other's cache entry.
+  TopKResultCache cache(64);
+  QueryEngine engine(&store_, nullptr, nullptr, nullptr, &cache);
+  TopKQuery narrow;
+  narrow.target_mode = 1;
+  narrow.anchor = {4, 0, 3};
+  narrow.k = 1;
+  narrow.search = SearchMode::kAnnCached;
+  narrow.probes = 1;
+  TopKQuery wide_probes = narrow;
+  wide_probes.probes = (uint64_t{1} << 32) + 1;
+  TopKQuery wide_k = narrow;
+  wide_k.k = (uint64_t{1} << 32) + 1;
+
+  // Each query misses, is inserted, then hits its own entry. (A slot
+  // collision between them may evict, but never answers the other query.)
+  auto miss_then_hit = [&](const TopKQuery& query) {
+    Result<TopKResult> miss = engine.TopKWithBound(query);
+    EXPECT_TRUE(miss.ok()) << miss.status();
+    EXPECT_FALSE(miss.value().from_cache);
+    Result<TopKResult> hit = engine.TopKWithBound(query);
+    EXPECT_TRUE(hit.ok()) << hit.status();
+    EXPECT_TRUE(hit.value().from_cache);
+    EXPECT_EQ(hit.value().items, miss.value().items);
+    return miss.value();
+  };
+  EXPECT_EQ(miss_then_hit(narrow).rows_scored, 1u);
+  EXPECT_EQ(miss_then_hit(wide_probes).rows_scored, 8u);  // the whole mode
+  EXPECT_EQ(miss_then_hit(wide_k).items,
+            store_.Current()->TopK(1, narrow.anchor, 8));
+}
+
 TEST_F(QueryEngineTest, CachedSearchWithoutCacheDegradesToAnn) {
   TopKQuery query;
   query.target_mode = 1;

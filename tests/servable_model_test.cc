@@ -229,6 +229,20 @@ TEST(ServableModelTest, AnnExactPrecisionFullShortlistIsBitExact) {
   }
 }
 
+TEST(ServableModelTest, AnnProbesTimesKSaturatesInsteadOfWrapping) {
+  // probes * k = (2^63 + 1) * 2 wraps to 2 in size_t arithmetic; the
+  // shortlist must saturate to the whole mode, not shrink to two rows.
+  const KruskalTensor factors = MakeFactors(17, {64, 48, 6}, 4);
+  const auto model = ServableModel::Build(factors, 1, 0);
+  const std::vector<uint64_t> anchor = {3, 0, 2};
+  const size_t probes = (size_t{1} << 63) + 1;
+  const Result<TopKResult> ann =
+      model->TopKAnn(1, anchor, 2, Precision::kF64, probes);
+  ASSERT_TRUE(ann.ok()) << ann.status();
+  EXPECT_EQ(ann.value().rows_scored, 48u);
+  EXPECT_EQ(ann.value().items, model->TopK(1, anchor, 2));
+}
+
 TEST(ServableModelTest, AnnQuantizedRerankStaysWithinReportedBound) {
   // Quantized ANN composition: the shortlist is re-ranked through the bf16
   // / int8 kernels, and every returned score must sit within the published

@@ -991,8 +991,9 @@ Status CmdServeBench(const Args& args, std::ostream& out) {
   if (!probes.ok()) return probes.status();
   Result<uint64_t> bits = GetU64(args, "bits", 64);
   if (!bits.ok()) return bits.status();
-  if (bits.value() == 0) {
-    return Status::InvalidArgument("serve-bench needs --bits >= 1");
+  if (bits.value() == 0 || bits.value() > ann::kMaxLshBits) {
+    return Status::InvalidArgument("serve-bench needs --bits in [1, " +
+                                   std::to_string(ann::kMaxLshBits) + "]");
   }
 
   serve::ServeSessionOptions session_options;
@@ -1247,7 +1248,7 @@ std::string UsageText() {
       "                  [--precision f64|bf16|int8]  (top-K scan factors)\n"
       "                  [--search-mode exact|ann|ann_cached]\n"
       "                  [--probes P]  (ANN shortlist = P * K candidates)\n"
-      "                  [--bits B]    (LSH code width per row)\n"
+      "                  [--bits B]    (LSH code width per row, 1..4096)\n"
       "                  [--zipf-s S --query-seed N]  (query population)\n"
       "                  [--keep-depth D] [--warm-checkpoint F]\n"
       "                  [--trace-out F.json] [--metrics-out F.prom]\n"
