@@ -41,6 +41,7 @@
 #include "kernels/quantized.h"
 #include "la/ops.h"
 #include "la/solve.h"
+#include "partition/factor_assign.h"
 #include "partition/gtp.h"
 #include "partition/mtp.h"
 #include "ann/lsh_index.h"
@@ -230,14 +231,19 @@ void BM_RowGram(benchmark::State& state) {
 BENCHMARK(BM_RowGram)->Arg(0)->Arg(1);
 
 void BM_RowGroupedMttkrp(benchmark::State& state) {
-  // Row-grouped MTTKRP (entries sorted by output row, Zipf row sizes): one
-  // single-entry mttkrp_coo call per non-zero vs one call for the run.
+  // Row-grouped MTTKRP (entries sorted by output row, Zipf row sizes): arg
+  // 0 makes one single-entry mttkrp_coo call per non-zero, arg 1 one
+  // mttkrp_coo call over the grouped COO, arg 2 one mttkrp_rows call over
+  // the same entries as one part's row runs (the step's partition data).
   // ns_per_row here is per non-zero.
   const kernels::KernelTable& kern = kernels::Get();
-  const bool batched = state.range(0) != 0;
+  const int64_t variant = state.range(0);
   const size_t rank = kRowBenchRank;
   SparseTensor tensor = MakeTensor(100000);
   tensor.SortLexicographic();
+  const ModePartitionData runs = BuildModePartitionData(
+      tensor, PartitionTensor(PartitionerKind::kGreedy, tensor, 1), 0,
+      tensor.SliceNnzCounts(0), 1);
   Rng rng(24);
   std::vector<Matrix> factors;
   std::vector<const double*> data;
@@ -248,7 +254,12 @@ void BM_RowGroupedMttkrp(benchmark::State& state) {
   Matrix out(static_cast<size_t>(tensor.dim(0)), rank);
   const size_t nnz = tensor.nnz();
   for (auto _ : state) {
-    if (batched) {
+    if (variant == 2) {
+      kern.mttkrp_rows(runs.run_rows.data(), runs.run_begin.data(),
+                       runs.run_rows.size(), runs.indices.data(),
+                       runs.values.data(), 3, 0, data.data(), rank,
+                       out.data());
+    } else if (variant == 1) {
       kern.mttkrp_coo(tensor.IndexTuple(0), tensor.ValuePtr(0), nnz, 3, 0,
                       data.data(), rank, out.data());
     } else {
@@ -261,7 +272,7 @@ void BM_RowGroupedMttkrp(benchmark::State& state) {
   }
   SetNsPerRow(state, nnz);
 }
-BENCHMARK(BM_RowGroupedMttkrp)->Arg(0)->Arg(1);
+BENCHMARK(BM_RowGroupedMttkrp)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_Partitioner(benchmark::State& state) {
   const size_t slices = static_cast<size_t>(state.range(0));

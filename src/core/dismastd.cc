@@ -277,8 +277,10 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
   {
     SuperstepAccounting acct = cluster.NewSuperstep();
     const uint64_t entry_bytes = EntryBytes(order);
+    std::vector<std::vector<uint64_t>> mode_slice_nnz(order);
     for (size_t n = 0; n < order; ++n) {
-      const std::vector<uint64_t> slice_nnz = delta.SliceNnzCounts(n);
+      mode_slice_nnz[n] = delta.SliceNnzCounts(n);
+      const std::vector<uint64_t>& slice_nnz = mode_slice_nnz[n];
       ModePartition mp;
       if (elastic != nullptr) {
         // The coordinator's persistent (step-spanning) partition, with
@@ -328,33 +330,15 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
         acct.AddReceive(dst, row_bytes);
       }
     }
-    // The per-mode partition-data builds (the O(nnz) split + row-access
-    // sets) are independent of each other — run them on the pool.
+    // The per-mode partition-data builds (the O(nnz) split into row runs
+    // plus the fetch plan) are independent of each other — run them on
+    // the pool.
     exec.pool().ParallelFor(order, [&](size_t n) {
-      mode_data[n] = BuildModePartitionData(delta, partitioning, n);
+      mode_data[n] = BuildModePartitionData(delta, partitioning, n,
+                                            mode_slice_nnz[n], workers);
     });
     cluster.CommitSuperstep(acct, "partition");
     result.metrics.sim_seconds_partitioning = cluster.ElapsedSimSeconds();
-  }
-
-  // Static per-iteration remote-row fetch plan: plan[n][src][dst] = number
-  // of factor rows worker `dst` must pull from `src` before updating mode n.
-  std::vector<std::vector<std::vector<uint64_t>>> fetch_plan(
-      order, std::vector<std::vector<uint64_t>>(
-                 workers, std::vector<uint64_t>(workers, 0)));
-  for (size_t n = 0; n < order; ++n) {
-    for (uint32_t q = 0; q < parts; ++q) {
-      const uint32_t dst = q % workers;
-      for (size_t k = 0; k < order; ++k) {
-        if (k == n) continue;
-        for (uint64_t row : mode_data[n].needed_rows[q][k]) {
-          const uint32_t owner_part =
-              partitioning.modes[k].slice_to_part[row];
-          const uint32_t src = owner_part % workers;
-          if (src != dst) ++fetch_plan[n][src][dst];
-        }
-      }
-    }
   }
 
   // ---------------------------------------------------------------------
@@ -372,11 +356,10 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
   std::vector<Matrix> g0(order), g1(order), h(order);
   auto local_products = [&](size_t n) {
     const size_t old_rows = static_cast<size_t>(old_dims[n]);
-    const Matrix a0 = factors[n].RowSlice(0, old_rows);
-    const Matrix a1 = factors[n].RowSlice(old_rows, factors[n].rows());
-    g0[n] = old_rows > 0 ? TransposeTimes(a0, a0) : Matrix(rank, rank);
-    g1[n] = a1.rows() > 0 ? TransposeTimes(a1, a1) : Matrix(rank, rank);
-    h[n] = old_rows > 0 ? TransposeTimes(prev.factor(n), a0)
+    const Matrix& a = factors[n];
+    g0[n] = TransposeTimesRows(a, a, 0, old_rows);
+    g1[n] = TransposeTimesRows(a, a, old_rows, a.rows());
+    h[n] = old_rows > 0 ? TransposeTimesRows(prev.factor(n), a, 0, old_rows)
                         : Matrix(rank, rank);
   };
   // Builds the canonical replicated products and accounts one products
@@ -447,9 +430,11 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
 
       // --- Superstep A: fetch remote rows, MTTKRP, row-wise update. ---
       SuperstepAccounting acct = cluster.NewSuperstep();
+      const ModePartitionData& data = mode_data[n];
       for (uint32_t src = 0; src < workers; ++src) {
         for (uint32_t dst = 0; dst < workers; ++dst) {
-          const uint64_t rows = fetch_plan[n][src][dst];
+          const uint64_t rows =
+              data.fetch_rows[static_cast<size_t>(src) * workers + dst];
           if (rows == 0) continue;
           const uint64_t bytes = RowTransferBytes(rows, rank);
           acct.AddSend(src, bytes);
@@ -458,17 +443,22 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
       }
 
       Matrix mttkrp(factors[n].rows(), rank);
-      std::vector<const Matrix*> factor_ptrs(order);
-      for (size_t k = 0; k < order; ++k) factor_ptrs[k] = &factors[k];
+      std::vector<const double*> factor_data(order);
+      for (size_t k = 0; k < order; ++k) factor_data[k] = factors[k].data();
       // Partition q's slices are disjoint from every other partition's,
       // so accumulating into the shared buffer is race-free and yields
       // the same per-row contraction order as the centralized pass.
       exec.Run(&acct, [&](uint32_t w, SuperstepAccounting& shard) {
         for (uint32_t q = w; q < parts; q += workers) {
-          const SparseTensor& local = mode_data[n].part_tensors[q];
-          MttkrpAccumulate(local, factor_ptrs, n, &mttkrp);
-          shard.AddSparseTask(w, local.nnz(),
-                              MttkrpFlops(local.nnz(), order, rank));
+          const uint32_t run0 = data.part_runs[q];
+          kern.mttkrp_rows(data.run_rows.data() + run0,
+                           data.run_begin.data() + run0,
+                           data.part_runs[q + 1] - run0, data.indices.data(),
+                           data.values.data(), order, n, factor_data.data(),
+                           rank, mttkrp.data());
+          const uint64_t part_nnz = data.PartNnz(q);
+          shard.AddSparseTask(w, part_nnz,
+                              MttkrpFlops(part_nnz, order, rank));
         }
       });
 
@@ -608,7 +598,7 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
       inner = KruskalTensor(factors).InnerWithSparse(delta);
       exec.Run(&loss_acct, [&](uint32_t w, SuperstepAccounting& shard) {
         for (uint32_t q = w; q < parts; q += workers) {
-          const uint64_t part_nnz = mode_data[last].part_tensors[q].nnz();
+          const uint64_t part_nnz = mode_data[last].PartNnz(q);
           shard.AddSparseTask(w, part_nnz,
                               MttkrpFlops(part_nnz, order, rank));
         }

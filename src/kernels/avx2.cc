@@ -102,6 +102,73 @@ void MttkrpCooAvx2(const uint64_t* indices, const double* values,
   }
 }
 
+/// Adds entry e's product into acc0/acc1, columns [f, f + 8) of `block0`
+/// and `block1` (the high block only when has_hi): the value times the
+/// entry's factor rows in ascending mode order, as MttkrpCooAvx2 forms it.
+/// kOthers is the number of modes other than `mode`, or 0 to read it from
+/// `others`.
+template <size_t kOthers>
+__attribute__((always_inline)) inline void AddRunEntryAvx2(
+    size_t e, const uint32_t* indices, const double* values, size_t others,
+    size_t mode, const double* const* factors, size_t rank, size_t f,
+    const ColumnBlock& block0, const ColumnBlock& block1, bool has_hi,
+    __m256d* acc0, __m256d* acc1) {
+  const size_t n = kOthers != 0 ? kOthers : others;
+  const uint32_t* idx = indices + e * n;
+  __m256d v0 = _mm256_set1_pd(values[e]);
+  __m256d v1 = v0;
+  for (size_t t = 0; t < n; ++t) {
+    const double* src = factors[t < mode ? t : t + 1] +
+                        static_cast<size_t>(idx[t]) * rank + f;
+    v0 = _mm256_mul_pd(v0, block0.Load(src));
+    if (has_hi) v1 = _mm256_mul_pd(v1, block1.Load(src + 4));
+  }
+  *acc0 = _mm256_add_pd(*acc0, v0);
+  *acc1 = _mm256_add_pd(*acc1, v1);
+}
+
+/// One run at a time, like MttkrpRowsAvx512Impl: the output row's columns
+/// [f, f + 8) stay in two accumulators across the run.
+template <size_t kOthers>
+void MttkrpRowsAvx2Impl(const uint32_t* rows, const uint32_t* row_begin,
+                        size_t num_rows, const uint32_t* indices,
+                        const double* values, size_t order, size_t mode,
+                        const double* const* factors, size_t rank,
+                        double* out) {
+  const size_t others = order - 1;
+  for (size_t j = 0; j < num_rows; ++j) {
+    double* row = out + static_cast<size_t>(rows[j]) * rank;
+    for (size_t f = 0; f < rank; f += 8) {
+      const ColumnBlock block0(f, rank);
+      const bool has_hi = f + 4 < rank;
+      const ColumnBlock block1(has_hi ? f + 4 : f, rank);
+      __m256d acc0 = block0.Load(row + f);
+      __m256d acc1 =
+          has_hi ? block1.Load(row + f + 4) : _mm256_setzero_pd();
+      for (size_t e = row_begin[j]; e < row_begin[j + 1]; ++e) {
+        AddRunEntryAvx2<kOthers>(e, indices, values, others, mode, factors,
+                                 rank, f, block0, block1, has_hi, &acc0,
+                                 &acc1);
+      }
+      block0.Store(row + f, acc0);
+      if (has_hi) block1.Store(row + f + 4, acc1);
+    }
+  }
+}
+
+void MttkrpRowsAvx2(const uint32_t* rows, const uint32_t* row_begin,
+                    size_t num_rows, const uint32_t* indices,
+                    const double* values, size_t order, size_t mode,
+                    const double* const* factors, size_t rank, double* out) {
+  if (order == 3) {
+    MttkrpRowsAvx2Impl<2>(rows, row_begin, num_rows, indices, values, order,
+                          mode, factors, rank, out);
+  } else {
+    MttkrpRowsAvx2Impl<0>(rows, row_begin, num_rows, indices, values, order,
+                          mode, factors, rank, out);
+  }
+}
+
 /// Adds rows [j0, j1) into output rows [i0, i0 + kRows), columns
 /// [c, c + 8) (lanes past `rank` masked off): 2 * kRows independent
 /// accumulator chains, each seeing its additions in row order.
@@ -520,6 +587,7 @@ const KernelTable& Avx2Kernels() {
     t.backend = Backend::kAvx2;
     t.hadamard_combine = HadamardCombineAvx2;
     t.mttkrp_coo = MttkrpCooAvx2;
+    t.mttkrp_rows = MttkrpRowsAvx2;
     t.gram_update_rows = GramUpdateRowsAvx2;
     t.row_times_matrix = RowTimesMatrixAvx2;
     t.cholesky_solve_rows = CholeskySolveRowsAvx2;

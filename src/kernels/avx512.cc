@@ -102,6 +102,71 @@ void MttkrpCooAvx512(const uint64_t* indices, const double* values,
   }
 }
 
+/// Adds entry e's product into acc0/acc1, columns [f, f + 16) with the
+/// lanes past `rank` masked off: the value times the entry's factor rows in
+/// ascending mode order, as MttkrpCooAvx512 forms it. kOthers is the number
+/// of modes other than `mode`, or 0 to read it from `others`.
+template <size_t kOthers>
+__attribute__((always_inline)) inline void AddRunEntryAvx512(
+    size_t e, const uint32_t* indices, const double* values, size_t others,
+    size_t mode, const double* const* factors, size_t rank, size_t f,
+    __mmask8 mask0, __mmask8 mask1, __m512d* acc0, __m512d* acc1) {
+  const size_t n = kOthers != 0 ? kOthers : others;
+  const uint32_t* idx = indices + e * n;
+  __m512d v0 = _mm512_set1_pd(values[e]);
+  __m512d v1 = v0;
+  for (size_t t = 0; t < n; ++t) {
+    const double* src = factors[t < mode ? t : t + 1] +
+                        static_cast<size_t>(idx[t]) * rank + f;
+    v0 = _mm512_mul_pd(v0, _mm512_maskz_loadu_pd(mask0, src));
+    v1 = _mm512_mul_pd(v1, _mm512_maskz_loadu_pd(mask1, src + 8));
+  }
+  *acc0 = _mm512_add_pd(*acc0, v0);
+  *acc1 = _mm512_add_pd(*acc1, v1);
+}
+
+/// One run at a time, the output row's columns [f, f + 16) held in two
+/// accumulators across the run. (Pairing two runs' independent chains
+/// measured no faster: the factor-row loads, not the additions, bound it.)
+template <size_t kOthers>
+void MttkrpRowsAvx512Impl(const uint32_t* rows, const uint32_t* row_begin,
+                          size_t num_rows, const uint32_t* indices,
+                          const double* values, size_t order, size_t mode,
+                          const double* const* factors, size_t rank,
+                          double* out) {
+  const size_t others = order - 1;
+  for (size_t j = 0; j < num_rows; ++j) {
+    double* row = out + static_cast<size_t>(rows[j]) * rank;
+    for (size_t f = 0; f < rank; f += 16) {
+      const __mmask8 mask0 = ColumnMask(f, rank);
+      const __mmask8 mask1 =
+          f + 8 < rank ? ColumnMask(f + 8, rank) : static_cast<__mmask8>(0);
+      __m512d acc0 = _mm512_maskz_loadu_pd(mask0, row + f);
+      __m512d acc1 = _mm512_maskz_loadu_pd(mask1, row + f + 8);
+      for (size_t e = row_begin[j]; e < row_begin[j + 1]; ++e) {
+        AddRunEntryAvx512<kOthers>(e, indices, values, others, mode, factors,
+                                   rank, f, mask0, mask1, &acc0, &acc1);
+      }
+      _mm512_mask_storeu_pd(row + f, mask0, acc0);
+      _mm512_mask_storeu_pd(row + f + 8, mask1, acc1);
+    }
+  }
+}
+
+void MttkrpRowsAvx512(const uint32_t* rows, const uint32_t* row_begin,
+                      size_t num_rows, const uint32_t* indices,
+                      const double* values, size_t order, size_t mode,
+                      const double* const* factors, size_t rank,
+                      double* out) {
+  if (order == 3) {
+    MttkrpRowsAvx512Impl<2>(rows, row_begin, num_rows, indices, values, order,
+                            mode, factors, rank, out);
+  } else {
+    MttkrpRowsAvx512Impl<0>(rows, row_begin, num_rows, indices, values, order,
+                            mode, factors, rank, out);
+  }
+}
+
 /// Adds rows [j0, j1) into output rows [i0, i0 + kRows), columns
 /// [c, c + 16) (lanes past `rank` masked off): 2 * kRows independent
 /// accumulator chains, each seeing its additions in row order.
@@ -513,6 +578,7 @@ const KernelTable& Avx512Kernels() {
     t.backend = Backend::kAvx512;
     t.hadamard_combine = HadamardCombineAvx512;
     t.mttkrp_coo = MttkrpCooAvx512;
+    t.mttkrp_rows = MttkrpRowsAvx512;
     t.gram_update_rows = GramUpdateRowsAvx512;
     t.row_times_matrix = RowTimesMatrixAvx512;
     t.cholesky_solve_rows = CholeskySolveRowsAvx512;

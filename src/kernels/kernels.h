@@ -34,9 +34,10 @@ Result<Backend> ParseBackend(const std::string& text);
 /// themselves.
 ///
 /// Determinism contract (fp64 kernels): element-wise kernels (mttkrp_coo,
-/// hadamard_combine, gram_update_rows, cholesky_solve_rows) perform the same scalar operations in the same
-/// order in every backend, lane-parallel over independent outputs, so they
-/// are bit-exact across backends by construction. Reductions (dot_strided,
+/// mttkrp_rows, hadamard_combine, gram_update_rows, cholesky_solve_rows)
+/// perform the same scalar operations in the same order in every backend,
+/// lane-parallel over independent outputs, so they are bit-exact across
+/// backends by construction. Reductions (dot_strided,
 /// row_times_matrix, sign_encode_rows, topk_score_block) share a fixed
 /// blocking: 8 independent partial sums, lane l accumulating elements l,
 /// l+8, l+16, ... with the tail element i folded into lane i mod 8, combined as
@@ -62,12 +63,26 @@ struct KernelTable {
   /// factors[m][indices[e * order + m] * rank + f] with i = indices[e *
   /// order + mode]; factors[m] and out are row-major with `rank` columns.
   /// The current output row stays in registers while consecutive entries
-  /// share it, so row-grouped input (partition data) touches each output
-  /// row once. Each entry's product is formed in mode order (starting from
-  /// the value) and added in entry order.
+  /// share it, so row-grouped input touches each output row once. Each
+  /// entry's product is formed in mode order (starting from the value) and
+  /// added in entry order.
   void (*mttkrp_coo)(const uint64_t* indices, const double* values,
                      size_t nnz, size_t order, size_t mode,
                      const double* const* factors, size_t rank, double* out);
+
+  /// Sparse MTTKRP over row runs (partition/factor_assign.h's layout): for
+  /// j in [0, num_rows), for e in [row_begin[j], row_begin[j + 1]) in
+  /// order, out[rows[j] * rank + f] += values[e] * prod_t
+  /// factors[m_t][indices[e * (order - 1) + t] * rank + f], where m_0 < m_1
+  /// < ... are the modes other than `mode` (factors has `order` entries;
+  /// factors[mode] is not read). The run's output row stays in registers
+  /// across the run. Each product is formed as in mttkrp_coo, so a
+  /// row-grouped COO and its row runs give bit-identical output.
+  void (*mttkrp_rows)(const uint32_t* rows, const uint32_t* row_begin,
+                      size_t num_rows, const uint32_t* indices,
+                      const double* values, size_t order, size_t mode,
+                      const double* const* factors, size_t rank,
+                      double* out);
 
   /// Gram (y == x) or cross-Gram partial over a row set: for j in
   /// [0, num_rows), in order, out[i*rank + k] += x[rows[j]*rank + i] *

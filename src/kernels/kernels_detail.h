@@ -70,6 +70,27 @@ inline void MttkrpCooScalar(const uint64_t* indices, const double* values,
   }
 }
 
+inline void MttkrpRowsScalar(const uint32_t* rows, const uint32_t* row_begin,
+                             size_t num_rows, const uint32_t* indices,
+                             const double* values, size_t order, size_t mode,
+                             const double* const* factors, size_t rank,
+                             double* out) {
+  const size_t others = order - 1;
+  for (size_t j = 0; j < num_rows; ++j) {
+    double* row = out + static_cast<size_t>(rows[j]) * rank;
+    for (size_t e = row_begin[j]; e < row_begin[j + 1]; ++e) {
+      const uint32_t* idx = indices + e * others;
+      for (size_t f = 0; f < rank; ++f) {
+        double v = values[e];
+        for (size_t t = 0; t < others; ++t) {
+          v *= factors[t < mode ? t : t + 1][idx[t] * rank + f];
+        }
+        row[f] += v;
+      }
+    }
+  }
+}
+
 inline void GramUpdateRowsScalar(const double* x, const double* y,
                                  const uint64_t* rows, size_t num_rows,
                                  size_t rank, double* out) {

@@ -46,6 +46,7 @@ const KernelTable& ScalarKernels() {
     t.backend = Backend::kScalar;
     t.hadamard_combine = detail::HadamardCombineScalar;
     t.mttkrp_coo = detail::MttkrpCooScalar;
+    t.mttkrp_rows = detail::MttkrpRowsScalar;
     t.gram_update_rows = detail::GramUpdateRowsScalar;
     t.row_times_matrix = detail::RowTimesMatrixScalar;
     t.cholesky_solve_rows = detail::CholeskySolveRowsScalar;

@@ -9,38 +9,57 @@
 
 namespace dismastd {
 
-/// Per-partition data for updating one mode (§IV-A3, Fig. 4): the non-zeros
-/// whose mode-`mode` index falls in the partition, plus — for every other
-/// mode — the distinct factor rows those non-zeros touch during MTTKRP.
+/// Per-partition data for updating one mode (§IV-A3, Fig. 4): every part's
+/// non-zeros grouped by output row (a CSR-like row-run layout, after
+/// SPLATT's CSF), plus the remote factor rows the parts must fetch.
+///
+/// Parts are stored one after another. Part q owns the row runs
+/// [part_runs[q], part_runs[q + 1]); run j holds the entries [run_begin[j],
+/// run_begin[j + 1]) of output row run_rows[j] (a mode-`mode` index). Rows
+/// ascend within a part, and entries keep the input tensor's order within
+/// a row, so each output row's MTTKRP contributions come in the same order
+/// as over the input tensor.
 struct ModePartitionData {
   size_t mode = 0;
-  /// part_tensors[q] holds partition q's non-zeros (full tensor dims, so
-  /// global indices remain valid), row-grouped: ordered by mode-`mode`
-  /// index, and in the input tensor's order within one index. Each output
-  /// row's MTTKRP contributions therefore form one contiguous run, in the
-  /// same order as over the input tensor.
-  std::vector<SparseTensor> part_tensors;
-  /// needed_rows[q][k] = sorted distinct row indices of factor k accessed
-  /// by partition q's non-zeros (empty vector for k == mode).
-  std::vector<std::vector<std::vector<uint64_t>>> needed_rows;
+  /// Indices stored per entry: the tensor order minus one.
+  size_t others = 0;
+  /// part_runs[q] is the first run of part q; num_parts + 1 entries.
+  std::vector<uint32_t> part_runs;
+  /// Output row of every run.
+  std::vector<uint32_t> run_rows;
+  /// First entry of every run, plus the entry count at the end.
+  std::vector<uint32_t> run_begin;
+  /// indices[e * others + t]: entry e's index in the t-th mode other than
+  /// `mode`, modes in ascending order.
+  std::vector<uint32_t> indices;
+  std::vector<double> values;
+  /// fetch_rows[src * num_workers + dst]: factor rows of the modes other
+  /// than `mode` that worker dst must pull from worker src (src != dst)
+  /// before updating this mode. Parts map to workers round-robin (part q ->
+  /// worker q % num_workers), and each part counts each distinct row it
+  /// reads once, so two parts of one worker count a shared row twice.
+  std::vector<uint64_t> fetch_rows;
+
+  uint32_t num_parts() const {
+    return static_cast<uint32_t>(part_runs.size() - 1);
+  }
+  /// Non-zeros of part q.
+  uint64_t PartNnz(uint32_t q) const {
+    return run_begin[part_runs[q + 1]] - run_begin[part_runs[q]];
+  }
 };
 
-/// Splits `tensor` by the mode-`mode` partition and computes the factor-row
-/// access sets that drive communication accounting. Linear time: a stable
-/// counting sort on the mode-`mode` index sizes every part exactly, and the
-/// access sets are collected with a mark array (only each set's distinct
-/// rows are sorted). `tensor` may hold at most 2^32 - 1 entries.
+/// Builds the mode-`mode` partition data of `tensor` in one counting-sort
+/// scatter pass over the non-zeros, which also counts the fetch plan with a
+/// per-row mark of the parts that read the row. `slice_nnz` must be
+/// tensor.SliceNnzCounts(mode). Every index is stored as u32: a mode with
+/// 2^32 or more slices, or 2^32 - 1 or more non-zeros, fails a
+/// DISMASTD_CHECK that names the limit.
 ModePartitionData BuildModePartitionData(const SparseTensor& tensor,
                                          const TensorPartitioning& partitioning,
-                                         size_t mode);
-
-/// Counts how many of `rows` (indices into factor `factor_mode`) are owned
-/// by a different worker than `local_worker`, where row ownership follows
-/// the factor mode's partition and partitions map to workers round-robin
-/// (part q -> worker q % num_workers).
-uint64_t CountRemoteRows(const std::vector<uint64_t>& rows,
-                         const ModePartition& factor_partition,
-                         uint32_t local_worker, uint32_t num_workers);
+                                         size_t mode,
+                                         const std::vector<uint64_t>& slice_nnz,
+                                         uint32_t num_workers);
 
 /// Serialized size of shipping `row_count` factor rows of rank R:
 /// one u64 index plus R doubles per row.

@@ -130,8 +130,8 @@ ServableModel::ServableModel(KruskalTensor factors, uint64_t version,
   grams_.reserve(n);
   column_norms_.reserve(n);
   for (size_t mode = 0; mode < n; ++mode) {
-    grams_.push_back(TransposeTimes(factors_.factor(mode),
-                                    factors_.factor(mode)));
+    const Matrix& a = factors_.factor(mode);
+    grams_.push_back(TransposeTimesRows(a, a, 0, a.rows()));
     std::vector<double> norms(r);
     for (size_t f = 0; f < r; ++f) {
       norms[f] = std::sqrt(grams_.back()(f, f));

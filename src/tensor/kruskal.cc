@@ -1,5 +1,6 @@
 #include "tensor/kruskal.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "kernels/kernels.h"
@@ -91,9 +92,12 @@ double KruskalTensor::ValueAt(const uint64_t* index) const {
 double KruskalTensor::NormSquaredViaGrams() const {
   // ‖[[A_1..A_N]]‖² = Σ_{f,g} Π_n (A_nᵀA_n)[f,g]: the sum of all elements
   // of the Hadamard product of the Grams.
-  Matrix acc = TransposeTimes(factors_[0], factors_[0]);
+  const auto gram = [](const Matrix& a) {
+    return TransposeTimesRows(a, a, 0, a.rows());
+  };
+  Matrix acc = gram(factors_[0]);
   for (size_t m = 1; m < order(); ++m) {
-    HadamardInPlace(acc, TransposeTimes(factors_[m], factors_[m]));
+    HadamardInPlace(acc, gram(factors_[m]));
   }
   return SumAll(acc);
 }
@@ -125,6 +129,24 @@ double KruskalTensor::Fit(const SparseTensor& x) const {
   if (xnorm == 0.0) return 0.0;
   const double fit = 1.0 - std::sqrt(ResidualNormSquared(x)) / xnorm;
   return fit;
+}
+
+Matrix TransposeTimesRows(const Matrix& a, const Matrix& b, size_t begin,
+                          size_t end) {
+  DISMASTD_CHECK(a.cols() == b.cols());
+  DISMASTD_CHECK(begin <= end && end <= a.rows() && end <= b.rows());
+  const size_t rank = a.cols();
+  Matrix out(rank, rank);
+  const kernels::KernelTable& kern = kernels::Get();
+  // The kernel takes a row list; the range is handed over in chunks.
+  constexpr size_t kChunk = 1024;
+  uint64_t rows[kChunk];
+  for (size_t r0 = begin; r0 < end; r0 += kChunk) {
+    const size_t n = std::min(kChunk, end - r0);
+    for (size_t i = 0; i < n; ++i) rows[i] = r0 + i;
+    kern.gram_update_rows(a.data(), b.data(), rows, n, rank, out.data());
+  }
+  return out;
 }
 
 double KruskalInner(const KruskalTensor& a, const KruskalTensor& b) {

@@ -55,6 +55,14 @@ class KruskalTensor {
 /// (A_1ᵀB_1) * ... * (A_NᵀB_N). Used by the paper's L^(0,0,0) loss term.
 double KruskalInner(const KruskalTensor& a, const KruskalTensor& b);
 
+/// The R x R product AᵀB over rows [begin, end) of both factors (a and b
+/// share their column count), through the dispatched gram_update_rows
+/// kernel: every element adds its rank-1 terms in row order, so the result
+/// is bit-identical on every backend and, for finite factors, to
+/// TransposeTimes of the two row ranges.
+Matrix TransposeTimesRows(const Matrix& a, const Matrix& b, size_t begin,
+                          size_t end);
+
 /// The canonical Hadamard-dot evaluation Σ_f Π_m rows[m][f], routed
 /// through the dispatched compute kernels. Both KruskalTensor::ValueAt and
 /// ServableModel point predictions call this — it is the single

@@ -30,9 +30,9 @@ size_t MttkrpAccumulate(const SparseTensor& x,
 
   std::vector<const double*> factor_data(order);
   for (size_t m = 0; m < order; ++m) factor_data[m] = factors[m]->data();
-  // Row-grouped inputs (partition data) form one run per output row, which
-  // the kernel accumulates in registers; any other order still gets the
-  // per-row accumulation order of a plain pass over the entries.
+  // Row-grouped inputs form one run per output row, which the kernel
+  // accumulates in registers; any other order still gets the per-row
+  // accumulation order of a plain pass over the entries.
   const size_t nnz = x.nnz();
   if (nnz > 0) {
     kernels::Get().mttkrp_coo(x.IndexTuple(0), x.ValuePtr(0), nnz, order,

@@ -322,6 +322,85 @@ TEST(KernelsBatchedTest, MttkrpCooMatchesPerNonZeroReference) {
   }
 }
 
+TEST(KernelsBatchedTest, MttkrpRowsMatchesPerNonZeroCooReference) {
+  // Row runs against the per-non-zero reference over the same entries as a
+  // COO stream: row counts odd and even (the SIMD kernels pair rows), runs
+  // of length 1, mixed and long, and empty parts.
+  Rng rng(13);
+  const size_t kOutRows = 40;
+  for (size_t rank : kBatchRanks) {
+    for (size_t order : {2u, 3u, 4u}) {
+      const std::vector<uint64_t> dims = {6, 5, 4, 3};
+      for (size_t mode = 0; mode < order; ++mode) {
+        std::vector<std::vector<double>> factors;
+        std::vector<const double*> factor_ptrs;
+        for (size_t m = 0; m < order; ++m) {
+          const size_t rows = m == mode ? kOutRows : dims[m];
+          factors.push_back(RandomVector(rows * rank, rng));
+          factor_ptrs.push_back(factors.back().data());
+        }
+        for (size_t num_rows : {0u, 1u, 2u, 3u, 8u, 9u, 17u}) {
+          for (int lengths = 0; lengths < 3; ++lengths) {
+            // Distinct output rows in random order.
+            std::vector<uint32_t> out_rows(kOutRows);
+            std::iota(out_rows.begin(), out_rows.end(), 0u);
+            for (size_t i = kOutRows; i > 1; --i) {
+              std::swap(out_rows[i - 1], out_rows[rng.NextBounded(i)]);
+            }
+            out_rows.resize(num_rows);
+            std::vector<uint32_t> row_begin = {0};
+            for (size_t j = 0; j < num_rows; ++j) {
+              const size_t len = lengths == 0   ? 1
+                                 : lengths == 1 ? 1 + rng.NextBounded(4)
+                                                : 20 + rng.NextBounded(50);
+              row_begin.push_back(row_begin.back() +
+                                  static_cast<uint32_t>(len));
+            }
+            const size_t nnz = row_begin.back();
+            std::vector<uint32_t> indices;
+            std::vector<uint64_t> coo;
+            for (size_t j = 0; j < num_rows; ++j) {
+              for (size_t e = row_begin[j]; e < row_begin[j + 1]; ++e) {
+                for (size_t m = 0; m < order; ++m) {
+                  if (m == mode) {
+                    coo.push_back(out_rows[j]);
+                  } else {
+                    coo.push_back(rng.NextBounded(dims[m]));
+                    indices.push_back(static_cast<uint32_t>(coo.back()));
+                  }
+                }
+              }
+            }
+            const std::vector<double> values = RandomVector(nnz, rng);
+            const std::vector<double> seed = RandomVector(kOutRows * rank, rng);
+            std::vector<double> want = seed;
+            for (size_t e = 0; e < nnz; ++e) {
+              const uint64_t* idx = coo.data() + e * order;
+              std::vector<const double*> rows;
+              for (size_t m = 0; m < order; ++m) {
+                if (m != mode) rows.push_back(factor_ptrs[m] + idx[m] * rank);
+              }
+              MttkrpRowReference(values[e], rows.data(), rows.size(), rank,
+                                 want.data() + idx[mode] * rank);
+            }
+            for (Backend backend : SupportedBackends()) {
+              std::vector<double> got = seed;
+              Get(backend).mttkrp_rows(out_rows.data(), row_begin.data(),
+                                       num_rows, indices.data(), values.data(),
+                                       order, mode, factor_ptrs.data(), rank,
+                                       got.data());
+              EXPECT_TRUE(SameBits(want, got))
+                  << BackendName(backend) << " rank=" << rank
+                  << " order=" << order << " mode=" << mode
+                  << " rows=" << num_rows << " lengths=" << lengths;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelsBatchedTest, GramUpdateRowsMatchesPerRowReference) {
   Rng rng(12);
   for (size_t rank : kBatchRanks) {
