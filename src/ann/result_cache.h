@@ -24,6 +24,8 @@
 #include <mutex>
 #include <vector>
 
+#include "common/serialization.h"
+
 namespace dismastd {
 namespace ann {
 
@@ -58,12 +60,7 @@ struct ResultCacheKey {
   /// naturally overwrites its stale predecessor.
   uint64_t QueryHash() const {
     uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xFF;
-        h *= 1099511628211ull;
-      }
-    };
+    auto mix = [&h](uint64_t v) { h = Fnv1a(&v, sizeof(v), h); };
     mix(target_mode);
     mix(k);
     mix(precision);

@@ -2,6 +2,15 @@
 
 namespace dismastd {
 
+uint64_t Fnv1a(const void* data, size_t bytes, uint64_t hash) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) {
+    hash ^= p[i];
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
 Status ByteReader::ReadString(std::string* out) {
   uint64_t len = 0;
   DISMASTD_RETURN_IF_ERROR(ReadU64(&len));

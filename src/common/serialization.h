@@ -10,6 +10,13 @@
 
 namespace dismastd {
 
+inline constexpr uint64_t kFnv1aOffset = 14695981039346656037ull;
+
+/// FNV-1a over `bytes` bytes at `data`, chained from `hash`. Doubles are
+/// hashed by representation, so a fingerprint is exact, not
+/// tolerance-based.
+uint64_t Fnv1a(const void* data, size_t bytes, uint64_t hash = kFnv1aOffset);
+
 /// Append-only little-endian byte buffer. Used by the simulated network to
 /// serialize messages so that communication volume is measured in real bytes
 /// (the same bytes an MPI/Spark shuffle would move).

@@ -19,6 +19,14 @@ std::vector<std::string> SplitString(std::string_view input, char delim) {
   return out;
 }
 
+std::string AsciiLower(std::string_view text) {
+  std::string out(text);
+  for (char& c : out) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
+  return out;
+}
+
 std::string_view TrimWhitespace(std::string_view input) {
   size_t begin = 0;
   size_t end = input.size();

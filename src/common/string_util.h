@@ -22,6 +22,10 @@ Status ParseU64(std::string_view input, uint64_t* out);
 /// Parses a double; fails on garbage.
 Status ParseDouble(std::string_view input, double* out);
 
+/// ASCII lower-case copy (other bytes unchanged); how every name parser
+/// matches case-insensitively.
+std::string AsciiLower(std::string_view text);
+
 /// Formats with thousands separators, e.g. 1234567 -> "1,234,567".
 std::string FormatWithCommas(uint64_t value);
 

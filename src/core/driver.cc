@@ -1,9 +1,9 @@
 #include "core/driver.h"
 
 #include <algorithm>
-#include <cctype>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "obs/flightrec.h"
 #include "obs/health.h"
 #include "obs/trace.h"
@@ -12,14 +12,6 @@
 namespace dismastd {
 
 namespace {
-
-std::string AsciiLower(const std::string& text) {
-  std::string lower = text;
-  std::transform(lower.begin(), lower.end(), lower.begin(), [](char c) {
-    return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  });
-  return lower;
-}
 
 /// Copies a decomposition's resource metrics into the step rollup.
 void FillStepMetrics(const DistributedResult& result, StreamStepMetrics* sm) {

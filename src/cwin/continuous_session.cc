@@ -1,16 +1,11 @@
 #include "cwin/continuous_session.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <map>
-#include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "common/serialization.h"
 #include "common/string_util.h"
-#include "common/timer.h"
+#include "ingest/delta_builder.h"
 #include "obs/flightrec.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
@@ -20,25 +15,6 @@ namespace dismastd {
 namespace cwin {
 
 namespace {
-
-std::string AsciiLower(const std::string& text) {
-  std::string out = text;
-  for (char& c : out) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
-  return out;
-}
-
-inline constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-inline constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t Fnv1a(const std::vector<uint8_t>& bytes, uint64_t hash) {
-  for (uint8_t b : bytes) {
-    hash ^= b;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 /// Canonical bytes of one published model; what the continuous
 /// determinism contract ("bit-identical published factors") is defined
@@ -56,8 +32,6 @@ std::vector<uint8_t> SerializeModel(const SlidingWindowModel& model,
   }
   return writer.TakeBytes();
 }
-
-inline constexpr uint64_t kProducerDone = ~0ull;
 
 }  // namespace
 
@@ -85,11 +59,9 @@ Result<ContinuousSessionResult> RunContinuousSession(
     const ingest::EventLogReader& log,
     const ContinuousSessionOptions& options,
     const StreamStepObserver& observer) {
-  const Status valid = options.decompose.Validate();
-  if (!valid.ok()) return valid;
+  DISMASTD_RETURN_IF_ERROR(options.decompose.Validate());
+  DISMASTD_RETURN_IF_ERROR(options.Validate());
   const size_t order = log.order();
-  const size_t num_producers = std::max<size_t>(1, options.num_producers);
-  const size_t num_slots = log.num_slots();
   const size_t fuse = std::max<size_t>(1, options.fuse_events);
   const size_t publish_interval =
       std::max<size_t>(1, options.publish_interval_events);
@@ -105,62 +77,13 @@ Result<ContinuousSessionResult> RunContinuousSession(
   obs::Tracer* tracer = options.decompose.tracer;
   if (obs::Active(tracer)) tracer->RegisterWallLane("cwin");
   obs::MetricRegistry* metrics = options.decompose.metrics;
-  obs::Gauge* depth_gauge =
-      metrics != nullptr
-          ? metrics->GetGauge("dismastd_ingest_queue_depth", {},
-                              "Tokens queued between producers and consumer")
-          : nullptr;
 
-  WallTimer epoch;
-  ingest::EventQueue queue(options.queue_capacity, options.backpressure);
   ContinuousSessionResult result;
-  result.event_to_publish_nanos = std::make_shared<obs::Pow2Histogram>();
+  ingest::EventPump pump(log, options, metrics, &result);
 
-  // Per-producer replay progress; same release/acquire discipline as
-  // RunIngestSession — the consumer only processes buffered tokens below
-  // min(progress), in slot order, so the accepted-event sequence (and
-  // therefore every published model) is producer-count-invariant.
-  std::vector<std::atomic<uint64_t>> progress(num_producers);
-  for (size_t p = 0; p < num_producers; ++p) progress[p].store(p);
-  std::atomic<size_t> producers_active{num_producers};
-  const double per_producer_rate =
-      options.max_events_per_second > 0.0
-          ? options.max_events_per_second / static_cast<double>(num_producers)
-          : 0.0;
-
-  std::vector<std::thread> producers;
-  producers.reserve(num_producers);
-  for (size_t p = 0; p < num_producers; ++p) {
-    producers.emplace_back([&, p] {
-      uint64_t emitted = 0;
-      for (size_t slot = p; slot < num_slots; slot += num_producers) {
-        if (per_producer_rate > 0.0) {
-          const double target =
-              static_cast<double>(emitted) / per_producer_rate;
-          const double ahead = target - epoch.ElapsedSeconds();
-          if (ahead > 0.0) {
-            std::this_thread::sleep_for(std::chrono::duration<double>(ahead));
-          }
-        }
-        ingest::IngestToken token;
-        token.slot = slot;
-        token.kind = log.Decode(slot, &token.record);
-        token.enqueue_seconds = epoch.ElapsedSeconds();
-        queue.Push(std::move(token));
-        ++emitted;
-        progress[p].store(slot + num_producers, std::memory_order_release);
-      }
-      progress[p].store(kProducerDone, std::memory_order_release);
-      if (producers_active.fetch_sub(1) == 1) queue.Close();
-    });
-  }
-
-  // --- Consumer (this thread). --------------------------------------------
   SlidingWindowModel model(order, window_options);
-  uint64_t fingerprint = kFnvOffset;
-  std::unordered_set<uint64_t> seen_seqs;
+  uint64_t fingerprint = kFnv1aOffset;
   std::vector<WindowEvent> fuse_buffer;
-  std::vector<double> pending_enqueue;
 
   bool has_watermark = false;
   int64_t watermark = 0;
@@ -179,11 +102,6 @@ Result<ContinuousSessionResult> RunContinuousSession(
   size_t stitch_index = 0;
   double last_publish_wall = 0.0;
   bool stitched_since_publish = false;
-
-  auto note_late = [&](int64_t ts) {
-    return options.allowed_lateness_ticks >= 0 && has_watermark &&
-           ts < watermark - options.allowed_lateness_ticks;
-  };
 
   auto run_stitch = [&] {
     // One exact DTD pass over the current window, through the shared
@@ -221,8 +139,8 @@ Result<ContinuousSessionResult> RunContinuousSession(
     }
     obs::ScopedWallSpan publish_wall(tracer, "cwin_publish", "cwin", "cwin");
     const KruskalTensor factors = model.Snapshot();
-    fingerprint =
-        Fnv1a(SerializeModel(model, publish_index), fingerprint);
+    const std::vector<uint8_t> bytes = SerializeModel(model, publish_index);
+    fingerprint = Fnv1a(bytes.data(), bytes.size(), fingerprint);
 
     StreamStepMetrics sm;
     sm.step = publish_index;
@@ -237,7 +155,7 @@ Result<ContinuousSessionResult> RunContinuousSession(
         groups_since_publish > 0
             ? total_sim / static_cast<double>(groups_since_publish)
             : total_sim;
-    const double now = epoch.ElapsedSeconds();
+    const double now = pump.ElapsedSeconds();
     sm.wall_seconds = now - last_publish_wall;
     last_publish_wall = now;
     sm.event_time_max = event_time_max;
@@ -269,7 +187,7 @@ Result<ContinuousSessionResult> RunContinuousSession(
     if (obs::Active(options.decompose.health)) {
       options.decompose.health->Observe(
           obs::HealthSignal::kIngestQueueDepth, sm.step,
-          static_cast<double>(queue.depth()), tracer);
+          static_cast<double>(pump.queue_depth()), tracer);
       options.decompose.health->Observe(
           obs::HealthSignal::kCwinWindowEvents, sm.step,
           static_cast<double>(model.window_events()), tracer);
@@ -282,13 +200,7 @@ Result<ContinuousSessionResult> RunContinuousSession(
     if (observer) observer(sm, factors);
     // The model folding these events in is now published: the freshness
     // clock stops here.
-    const double published = epoch.ElapsedSeconds();
-    for (double enqueued : pending_enqueue) {
-      const double latency = std::max(0.0, published - enqueued);
-      result.event_to_publish_nanos->Record(
-          static_cast<uint64_t>(latency * 1e9));
-    }
-    pending_enqueue.clear();
+    pump.Published();
     result.steps.push_back(std::move(sm));
     ++publish_index;
     ++result.publishes;
@@ -318,38 +230,27 @@ Result<ContinuousSessionResult> RunContinuousSession(
     if (events_since_publish >= publish_interval) publish();
   };
 
-  auto process_token = [&](ingest::IngestToken& token) {
-    switch (token.kind) {
-      case ingest::SlotKind::kQuarantined:
-        ++result.quarantined;
-        return;
-      case ingest::SlotKind::kBarrier: {
-        ++result.barriers;
-        apply_fused();
-        model.GrowDims(token.record.fields);
-        if (!has_watermark || token.record.ts > watermark) {
-          watermark = token.record.ts;
-          has_watermark = true;
-        }
-        const UpdateStats evict = model.AdvanceWatermark(watermark);
-        result.evicted += evict.evicted;
-        result.rows_solved += evict.rows_solved;
-        flops_since_publish += evict.flops;
-        update_sim_seconds += static_cast<double>(evict.flops) / flop_rate;
-        // Punctuation always publishes, mirroring the batch pipeline's
-        // barrier-close semantics.
-        publish();
-        return;
+  pump.Run([&](const ingest::IngestToken& token) {
+    if (token.kind == ingest::SlotKind::kBarrier) {
+      apply_fused();
+      model.GrowDims(token.record.fields);
+      if (!has_watermark || token.record.ts > watermark) {
+        watermark = token.record.ts;
+        has_watermark = true;
       }
-      case ingest::SlotKind::kEvent:
-        break;
-    }
-    ++result.events;
-    if (!seen_seqs.insert(token.record.seq).second) {
-      ++result.duplicates;
+      const UpdateStats evict = model.AdvanceWatermark(watermark);
+      result.evicted += evict.evicted;
+      result.rows_solved += evict.rows_solved;
+      flops_since_publish += evict.flops;
+      update_sim_seconds += static_cast<double>(evict.flops) / flop_rate;
+      // Punctuation always publishes, mirroring the batch pipeline's
+      // barrier-close semantics.
+      publish();
       return;
     }
-    if (note_late(token.record.ts)) {
+    if (has_watermark &&
+        ingest::IsLateEvent(token.record.ts, watermark,
+                            options.allowed_lateness_ticks)) {
       ++result.late_events;
       return;
     }
@@ -365,39 +266,11 @@ Result<ContinuousSessionResult> RunContinuousSession(
       event_time_max = event.ts;
     }
     fuse_buffer.push_back(std::move(event));
-    pending_enqueue.push_back(token.enqueue_seconds);
+    pump.Accept(token);
     ++events_since_publish;
     ++events_since_stitch;
     if (fuse_buffer.size() >= fuse) apply_fused();
-  };
-
-  // Merge-in-order on the safe frontier, identical to RunIngestSession.
-  std::map<uint64_t, ingest::IngestToken> reorder;
-  std::vector<ingest::IngestToken> popped;
-  bool open = true;
-  while (open) {
-    uint64_t safe = kProducerDone;
-    for (size_t p = 0; p < num_producers; ++p) {
-      safe = std::min(safe, progress[p].load(std::memory_order_acquire));
-    }
-    popped.clear();
-    const size_t n = queue.PopAll(&popped);
-    if (depth_gauge != nullptr) {
-      depth_gauge->Set(static_cast<double>(queue.depth()));
-    }
-    if (n == 0) {
-      open = false;
-      safe = kProducerDone;
-    }
-    for (ingest::IngestToken& token : popped) {
-      reorder.emplace(token.slot, std::move(token));
-    }
-    while (!reorder.empty() && reorder.begin()->first < safe) {
-      process_token(reorder.begin()->second);
-      reorder.erase(reorder.begin());
-    }
-  }
-  for (std::thread& t : producers) t.join();
+  });
 
   // End of stream: drain the fuse buffer, run the final stitch so the
   // published model is drift-bounded, and publish.
@@ -414,33 +287,8 @@ Result<ContinuousSessionResult> RunContinuousSession(
   result.dims = model.dims();
   result.model_fingerprint = fingerprint;
   result.window_events = model.window_events();
-  result.dropped_oldest = queue.dropped_oldest_total();
-  result.rejected = queue.rejected_total();
-  result.block_waits = queue.block_waits_total();
-  result.max_queue_depth = queue.max_depth();
-  result.wall_seconds = epoch.ElapsedSeconds();
-
+  pump.Finish();
   if (metrics != nullptr) {
-    metrics
-        ->GetCounter("dismastd_ingest_events_total", {},
-                     "Event records the consumer saw")
-        ->Add(result.events);
-    metrics
-        ->GetCounter("dismastd_ingest_barriers_total", {},
-                     "Barrier records the consumer saw")
-        ->Add(result.barriers);
-    metrics
-        ->GetCounter("dismastd_ingest_quarantined_total", {},
-                     "Log slots quarantined (CRC mismatch / unknown kind)")
-        ->Add(result.quarantined);
-    metrics
-        ->GetCounter("dismastd_ingest_duplicate_events_total", {},
-                     "Events dropped for an already-seen seq")
-        ->Add(result.duplicates);
-    metrics
-        ->GetCounter("dismastd_ingest_late_events_total", {},
-                     "Events quarantined as older than the lateness bound")
-        ->Add(result.late_events);
     metrics
         ->GetCounter("dismastd_cwin_updates_total", {},
                      "Fused update groups applied to the window model")
@@ -465,18 +313,6 @@ Result<ContinuousSessionResult> RunContinuousSession(
         ->GetGauge("dismastd_cwin_window_events", {},
                    "Events retained in the window at exit")
         ->Set(static_cast<double>(result.window_events));
-    metrics
-        ->GetGauge("dismastd_ingest_queue_max_depth", {},
-                   "High-water mark of the ingest queue depth")
-        ->Set(static_cast<double>(result.max_queue_depth));
-    metrics
-        ->GetCounter("dismastd_ingest_block_waits_total", {},
-                     "Times a producer blocked waiting for queue space")
-        ->Add(result.block_waits);
-    metrics
-        ->GetHistogram("dismastd_ingest_event_to_publish_nanoseconds", {},
-                       "Accepted-event enqueue to published-model latency")
-        ->MergeFrom(*result.event_to_publish_nanos);
   }
   return result;
 }

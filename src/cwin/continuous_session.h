@@ -2,15 +2,13 @@
 #define DISMASTD_CWIN_CONTINUOUS_SESSION_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/driver.h"
 #include "cwin/sliding_window.h"
 #include "ingest/event_log.h"
-#include "ingest/event_queue.h"
-#include "obs/histogram.h"
+#include "ingest/event_pump.h"
 
 namespace dismastd {
 namespace cwin {
@@ -26,18 +24,10 @@ enum class IngestMode : uint8_t {
 const char* IngestModeName(IngestMode mode);
 Result<IngestMode> ParseIngestMode(const std::string& text);
 
-/// Configuration of one continuous-window replay.
-struct ContinuousSessionOptions {
-  /// Producer (replay) threads sharding the log round-robin by slot —
-  /// identical to IngestSessionOptions, and with kBlock backpressure the
-  /// published factors are bit-identical for every producer count.
-  size_t num_producers = 1;
-  size_t queue_capacity = 1024;
-  ingest::BackpressurePolicy backpressure =
-      ingest::BackpressurePolicy::kBlock;
-  /// Aggregate replay rate across all producers; 0 = unthrottled.
-  double max_events_per_second = 0.0;
-
+/// Configuration of one continuous-window replay: the delivery
+/// (PumpOptions; with kBlock backpressure the published factors are
+/// bit-identical for every producer count) plus the window policy.
+struct ContinuousSessionOptions : ingest::PumpOptions {
   /// Window model: rank/seed default from `decompose.als` in
   /// RunContinuousSession when left at zero.
   SlidingWindowOptions window;
@@ -63,7 +53,7 @@ struct ContinuousSessionOptions {
 };
 
 /// What one RunContinuousSession produced.
-struct ContinuousSessionResult {
+struct ContinuousSessionResult : ingest::PumpCensus {
   /// One entry per publish, in publish order; event_time_max /
   /// event_time_watermark are stamped for the serve staleness ledger.
   std::vector<StreamStepMetrics> steps;
@@ -76,13 +66,6 @@ struct ContinuousSessionResult {
   /// their fingerprints match — the determinism contract across producer
   /// counts and execution thread counts (kBlock only).
   uint64_t model_fingerprint = 0;
-
-  /// Consumer-side census of the replayed log.
-  uint64_t events = 0;
-  uint64_t barriers = 0;
-  uint64_t quarantined = 0;
-  uint64_t duplicates = 0;
-  uint64_t late_events = 0;
 
   /// Continuous-path accounting.
   uint64_t updates = 0;      // fused update groups applied
@@ -97,27 +80,15 @@ struct ContinuousSessionResult {
   double last_drift = 0.0;
   /// Fit of the final factors over the retained window (compute_fit only).
   double final_fit = 0.0;
-
-  /// Queue-side accounting (see EventQueue).
-  uint64_t dropped_oldest = 0;
-  uint64_t rejected = 0;
-  uint64_t block_waits = 0;
-  size_t max_queue_depth = 0;
-
-  /// Enqueue of an accepted event -> the model folding it in was
-  /// published. Nanoseconds; always non-null on a successful run.
-  std::shared_ptr<obs::Pow2Histogram> event_to_publish_nanos;
-
-  double wall_seconds = 0.0;
 };
 
 /// Replays an event log through the continuous-window pipeline: the same
-/// producer/bounded-queue/safe-frontier machinery as RunIngestSession, but
-/// the consumer bypasses the barrier-aligned DeltaBuilder entirely — each
-/// event (or fused group) updates only the factor rows it touches in a
-/// SlidingWindowModel, the model is republished on the publish-interval
-/// trigger, and a periodic stitch runs one exact DTD pass over the current
-/// window (via the shared RunDisMastdDeltaStep path) to bound drift.
+/// EventPump delivery as RunIngestSession, but the policy bypasses the
+/// barrier-aligned DeltaBuilder entirely — each event (or fused group)
+/// updates only the factor rows it touches in a SlidingWindowModel, the
+/// model is republished on the publish-interval trigger, and a periodic
+/// stitch runs one exact DTD pass over the current window (via the shared
+/// RunDisMastdDeltaStep path) to bound drift.
 ///
 /// The observer fires after each publish with metrics whose
 /// event_time_max / event_time_watermark stamp the serve staleness ledger

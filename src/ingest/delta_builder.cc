@@ -36,9 +36,18 @@ void DeltaBuilder::NoteTimestamp(int64_t ts) {
   }
 }
 
+bool IsLateEvent(int64_t ts, int64_t watermark,
+                 int64_t allowed_lateness_ticks) {
+  if (allowed_lateness_ticks < 0 || ts >= watermark) return false;
+  // watermark > ts, so the unsigned difference is exact where the signed
+  // one could overflow.
+  return static_cast<uint64_t>(watermark) - static_cast<uint64_t>(ts) >
+         static_cast<uint64_t>(allowed_lateness_ticks);
+}
+
 bool DeltaBuilder::IsLate(int64_t ts) const {
-  if (options_.allowed_lateness_ticks < 0 || !has_watermark_) return false;
-  return ts < watermark_ && watermark_ - ts > options_.allowed_lateness_ticks;
+  return has_watermark_ &&
+         IsLateEvent(ts, watermark_, options_.allowed_lateness_ticks);
 }
 
 MicroBatchDelta DeltaBuilder::CloseBatch(BatchCloseReason reason) {

@@ -21,6 +21,13 @@ enum class BatchCloseReason : uint8_t {
 
 const char* BatchCloseReasonName(BatchCloseReason reason);
 
+/// The lateness rule both ingest policies apply: true when `ts` is older
+/// than `watermark - allowed_lateness_ticks` (negative lateness =
+/// unbounded, never late). Exact over the whole int64 range of event
+/// timestamps a log can carry.
+bool IsLateEvent(int64_t ts, int64_t watermark,
+                 int64_t allowed_lateness_ticks);
+
 /// Micro-batch trigger configuration. Any satisfied trigger closes the
 /// open batch; 0 (or negative, for the tick knobs) disables a trigger.
 struct DeltaBuilderOptions {

@@ -1,12 +1,12 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 
 namespace dismastd {
 namespace obs {
@@ -72,10 +72,7 @@ const char* TraceDetailName(TraceDetail detail) {
 }
 
 Result<TraceDetail> ParseTraceDetail(const std::string& text) {
-  std::string token = text;
-  std::transform(token.begin(), token.end(), token.begin(), [](char c) {
-    return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  });
+  const std::string token = AsciiLower(text);
   if (token == "steps") return TraceDetail::kSteps;
   if (token == "phases") return TraceDetail::kPhases;
   if (token == "workers") return TraceDetail::kWorkers;

@@ -688,6 +688,89 @@ TEST(CliTest, IngestFlagsAreValidated) {
   std::remove(log_path.c_str());
 }
 
+TEST(CliTest, IngestPumpFlagsAreStrict) {
+  std::string output;
+  const std::string tensor_path = TempPath("cli_pump_tensor.tns");
+  const std::string log_path = TempPath("cli_pump_log.tevt");
+  ASSERT_TRUE(RunCommand({"generate", "--output", tensor_path, "--dims",
+                          "10x10", "--nnz", "60"},
+                         &output)
+                  .ok());
+  ASSERT_TRUE(RunCommand({"export-events", "--input", tensor_path,
+                          "--output", log_path},
+                         &output)
+                  .ok());
+  // Each bad value is refused by the shared parser, naming its flag, in
+  // both ingest modes and before any producer thread starts (so the
+  // producer limit is probed only with values that start none).
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"lateness", "nan"},   {"lateness", "inf"},
+      {"lateness", "-inf"},  {"lateness", "1e30"},
+      {"lateness", "-1e30"}, {"rate", "-1"},
+      {"rate", "nan"},       {"producers", "65"}};
+  for (const std::string mode : {"batch", "continuous"}) {
+    for (const auto& [flag, value] : bad) {
+      const Status status =
+          RunCommand({"stream", "--ingest", log_path, "--ingest-mode", mode,
+                      "--" + flag, value},
+                     &output);
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << mode << " --" << flag << " " << value;
+      EXPECT_NE(status.message().find("--" + flag), std::string::npos)
+          << status.message();
+    }
+  }
+  // The edges of the accepted ranges still run.
+  EXPECT_TRUE(RunCommand({"stream", "--ingest", log_path, "--rank", "2",
+                          "--lateness", "-1", "--rate", "0", "--producers",
+                          "3"},
+                         &output)
+                  .ok())
+      << output;
+  std::remove(tensor_path.c_str());
+  std::remove(log_path.c_str());
+}
+
+TEST(CliTest, BothIngestModesExportTheQueueCounters) {
+  std::string output;
+  const std::string tensor_path = TempPath("cli_pump_tensor2.tns");
+  const std::string log_path = TempPath("cli_pump_log2.tevt");
+  const std::string metrics_path = TempPath("cli_pump_metrics.prom");
+  ASSERT_TRUE(RunCommand({"generate", "--output", tensor_path, "--dims",
+                          "20x16x12", "--nnz", "600", "--rank", "2"},
+                         &output)
+                  .ok());
+  ASSERT_TRUE(RunCommand({"export-events", "--input", tensor_path,
+                          "--output", log_path, "--steps", "2"},
+                         &output)
+                  .ok());
+  for (const std::string mode : {"batch", "continuous"}) {
+    std::remove(metrics_path.c_str());
+    ASSERT_TRUE(RunCommand({"stream", "--ingest", log_path, "--ingest-mode",
+                            mode, "--rank", "2", "--iterations", "2",
+                            "--backpressure", "drop-oldest",
+                            "--queue-capacity", "2", "--producers", "2",
+                            "--metrics-out", metrics_path},
+                           &output)
+                    .ok())
+        << output;
+    const std::string metrics = ReadFileToString(metrics_path);
+    for (const char* family :
+         {"dismastd_ingest_events_total", "dismastd_ingest_late_events_total",
+          "dismastd_ingest_dropped_oldest_total",
+          "dismastd_ingest_rejected_total",
+          "dismastd_ingest_block_waits_total",
+          "dismastd_ingest_queue_max_depth",
+          "dismastd_ingest_event_to_publish_nanoseconds"}) {
+      EXPECT_NE(metrics.find(std::string("\n") + family), std::string::npos)
+          << mode << " mode is missing " << family;
+    }
+  }
+  std::remove(tensor_path.c_str());
+  std::remove(log_path.c_str());
+  std::remove(metrics_path.c_str());
+}
+
 TEST(CliTest, BadInputsReportErrors) {
   std::string output;
   EXPECT_FALSE(RunCommand({"generate", "--dims", "4x4"}, &output).ok());  // no output

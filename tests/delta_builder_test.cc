@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "stream/snapshot.h"
 
 namespace dismastd {
@@ -175,6 +177,28 @@ TEST(DeltaBuilderTest, LateEventsQuarantinedBeyondAllowedLateness) {
   builder.Flush(&out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].num_events, 2u);
+}
+
+TEST(DeltaBuilderTest, LatenessIsExactAtTheEdgesOfTheTimestampRange) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  // watermark - ts exceeds int64 here; the event is as late as it gets.
+  EXPECT_TRUE(IsLateEvent(kMin, kMax, 5));
+  EXPECT_TRUE(IsLateEvent(kMin, kMax, kMax - 1));
+  EXPECT_FALSE(IsLateEvent(kMin, kMax, -1));
+  EXPECT_FALSE(IsLateEvent(kMax, kMin, 0));
+  EXPECT_FALSE(IsLateEvent(-5, 0, 5));
+  EXPECT_TRUE(IsLateEvent(-6, 0, 5));
+  // watermark - lateness would overflow below int64's minimum.
+  EXPECT_FALSE(IsLateEvent(kMin, kMin + 3, kMax));
+
+  DeltaBuilderOptions options;
+  options.allowed_lateness_ticks = 5;
+  DeltaBuilder builder(1, options);
+  std::vector<MicroBatchDelta> out;
+  Push(&builder, kMax / 2 + 1, {0}, 1.0, &out);
+  Push(&builder, kMin / 2 - 1, {1}, 2.0, &out);
+  EXPECT_EQ(builder.late_events(), 1u);
 }
 
 TEST(DeltaBuilderTest, UnboundedLatenessNeverQuarantines) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "stream/generator.h"
@@ -118,6 +119,25 @@ TEST(IngestSessionTest, DuplicateSeqsAreDroppedOnce) {
   ASSERT_EQ(result.value().steps.size(), 1u);
   // The duplicate did not double the (0,0) entry.
   EXPECT_EQ(result.value().steps[0].processed_nnz, 2u);
+}
+
+TEST(IngestSessionTest, BadPumpOptionsAreRejectedBeforeAnyThreadStarts) {
+  EventLogWriter log(2);
+  log.AppendEvent(0, {0, 0}, 1.0);
+  Result<EventLogReader> reader = EventLogReader::FromBytes(log.ToBytes());
+  ASSERT_TRUE(reader.ok());
+  IngestSessionOptions session;
+  session.decompose = SmallOptions();
+  session.num_producers = kMaxProducers + 1;
+  Result<IngestSessionResult> result =
+      RunIngestSession(reader.value(), session);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  session.num_producers = 1;
+  for (double rate : {-1.0, std::nan("")}) {
+    session.max_events_per_second = rate;
+    result = RunIngestSession(reader.value(), session);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << rate;
+  }
 }
 
 TEST(IngestSessionTest, CorruptSlotsAreQuarantinedAndCounted) {

@@ -6,7 +6,8 @@
 # recovery layer, the RCU-style model store with its concurrent query
 # engine, the observability layer (lock-free metric registry and the
 # span tracer's multi-thread wall lanes), the ingest pipeline
-# (bounded MPSC queue plus multi-producer ingest sessions), the
+# (bounded MPSC queue plus the event pump's producer fleet under both
+# ingest policies), the
 # continuous-window session (producer threads feeding per-event row
 # updates with the execution engine running inside periodic stitches), the
 # compute-kernel dispatch (mutex-guarded table selection that every
@@ -35,9 +36,9 @@ cmake --build "${build_dir}" -j \
   ann_index_test result_cache_test \
   histogram_test metric_registry_test trace_test health_test \
   event_log_test event_queue_test delta_builder_test ingest_session_test \
-  cwin_test
+  ingest_golden_test cwin_test
 
 ctest --test-dir "${build_dir}" --output-on-failure \
-  -R '^(thread_pool_test|cluster_test|determinism_test|fault_test|fault_recovery_test|elastic_test|kernels_test|model_store_test|query_engine_test|serve_metrics_test|ann_index_test|result_cache_test|histogram_test|metric_registry_test|trace_test|health_test|event_log_test|event_queue_test|delta_builder_test|ingest_session_test|cwin_test)$'
+  -R '^(thread_pool_test|cluster_test|determinism_test|fault_test|fault_recovery_test|elastic_test|kernels_test|model_store_test|query_engine_test|serve_metrics_test|ann_index_test|result_cache_test|histogram_test|metric_registry_test|trace_test|health_test|event_log_test|event_queue_test|delta_builder_test|ingest_session_test|ingest_golden_test|cwin_test)$'
 
 echo "TSan: all clean"

@@ -447,6 +447,14 @@ Status SetUpObsSinks(const Args& args, ObsSinks* sinks) {
   return Status::OK();
 }
 
+/// Points a decomposition's optional sinks at the ones the flags set up.
+void AttachObsSinks(const ObsSinks& sinks, DistributedOptions* options) {
+  options->tracer = sinks.tracer.get();
+  options->metrics = sinks.metrics.get();
+  options->health = sinks.health.get();
+  options->flight = sinks.flight.get();
+}
+
 Status WriteObsSinks(const ObsSinks& sinks, std::ostream& out) {
   if (sinks.tracer != nullptr) {
     DISMASTD_RETURN_IF_ERROR(
@@ -549,42 +557,105 @@ Status CmdExportEvents(const Args& args, std::ostream& out) {
   return Status::OK();
 }
 
+/// The delivery flags both ingest policies share (--producers,
+/// --queue-capacity, --backpressure, --rate) plus --lateness, checked
+/// before any producer thread starts.
+Status GetPumpFlags(const Args& args, ingest::PumpOptions* pump,
+                    int64_t* allowed_lateness_ticks) {
+  Result<uint64_t> producers = GetU64(args, "producers", 1);
+  if (!producers.ok()) return producers.status();
+  if (producers.value() == 0 || producers.value() > ingest::kMaxProducers) {
+    return Status::InvalidArgument(
+        "--producers must be in [1, " + std::to_string(ingest::kMaxProducers) +
+        "], got " + args.Get("producers"));
+  }
+  pump->num_producers = static_cast<size_t>(producers.value());
+  Result<uint64_t> capacity = GetU64(args, "queue-capacity", 1024);
+  if (!capacity.ok()) return capacity.status();
+  pump->queue_capacity = static_cast<size_t>(capacity.value());
+  Result<ingest::BackpressurePolicy> policy =
+      ingest::ParseBackpressurePolicy(args.Get("backpressure", "block"));
+  if (!policy.ok()) return policy.status();
+  pump->backpressure = policy.value();
+  Result<double> rate = GetDouble(args, "rate", 0.0);
+  if (!rate.ok()) return rate.status();
+  if (!(rate.value() >= 0.0)) {
+    return Status::InvalidArgument(
+        "--rate must be >= 0 events/s (0 = unthrottled), got " +
+        args.Get("rate"));
+  }
+  pump->max_events_per_second = rate.value();
+  // Negative = unbounded lateness, so this one parses as a double; the
+  // range check keeps the cast to int64 defined.
+  Result<double> lateness = GetDouble(args, "lateness", -1.0);
+  if (!lateness.ok()) return lateness.status();
+  constexpr double kInt64Limit = 9223372036854775808.0;  // 2^63
+  if (!(lateness.value() >= -kInt64Limit && lateness.value() < kInt64Limit)) {
+    return Status::InvalidArgument(
+        "--lateness must be a finite tick count within int64, got " +
+        args.Get("lateness"));
+  }
+  *allowed_lateness_ticks = static_cast<int64_t>(lateness.value());
+  return Status::OK();
+}
+
+/// The summary lines both ingest policies print after their per-step
+/// table: census (`extra_census` adds a policy's own count), queue,
+/// freshness and wall time.
+void PrintPumpSummary(const ingest::PumpCensus& r, size_t queue_capacity,
+                      const std::string& extra_census, std::ostream& out) {
+  out << "events  : " << FormatWithCommas(r.events) << " (" << r.duplicates
+      << " duplicate, " << r.late_events << " late, " << extra_census
+      << r.quarantined << " quarantined)\n";
+  out << "queue   : max depth " << r.max_queue_depth << "/" << queue_capacity
+      << ", " << r.block_waits << " block waits, " << r.dropped_oldest
+      << " dropped, " << r.rejected << " rejected\n";
+  const obs::HistogramSummary lat =
+      obs::Summarize(*r.event_to_publish_nanos, 1e-3);  // ns -> us
+  char line[160];
+  std::snprintf(line, sizeof(line),
+                "latency : event->publish p50 %.1f us, p95 %.1f us over "
+                "%llu events",
+                lat.p50, lat.p95, (unsigned long long)lat.count);
+  out << line << "\n";
+  std::snprintf(line, sizeof(line), "wall    : %.3f s (%.0f events/s)",
+                r.wall_seconds,
+                r.wall_seconds > 0.0
+                    ? static_cast<double>(r.events) / r.wall_seconds
+                    : 0.0);
+  out << line << "\n";
+}
+
+/// Writes --checkpoint (when given) from an ingest replay's final model.
+Status WriteIngestCheckpoint(const Args& args, const KruskalTensor& factors,
+                             const std::vector<uint64_t>& dims,
+                             const std::vector<StreamStepMetrics>& steps,
+                             std::ostream& out) {
+  const std::string checkpoint_path = args.Get("checkpoint");
+  if (checkpoint_path.empty()) return Status::OK();
+  StreamCheckpoint checkpoint;
+  checkpoint.factors = factors;
+  checkpoint.dims = dims;
+  checkpoint.step = steps.empty() ? 0 : steps.back().step;
+  DISMASTD_RETURN_IF_ERROR(
+      WriteStreamCheckpointFile(checkpoint, checkpoint_path));
+  out << "checkpoint written to " << checkpoint_path << "\n";
+  return Status::OK();
+}
+
 /// `stream --ingest LOG --ingest-mode continuous`: replays a TEVT log
 /// through the continuous-window pipeline — per-event (or fused-group)
 /// factor-row updates on a sliding event-time window with periodic exact
 /// DTD stitches — instead of barrier-aligned micro-batch recompute.
 Status CmdStreamIngestContinuous(const Args& args,
                                  const DistributedOptions& decompose,
-                                 ObsSinks& obs_sinks,
                                  const ingest::EventLogReader& log,
                                  std::ostream& out) {
   cwin::ContinuousSessionOptions session;
   session.decompose = decompose;
-  session.decompose.tracer = obs_sinks.tracer.get();
-  session.decompose.metrics = obs_sinks.metrics.get();
-  session.decompose.health = obs_sinks.health.get();
-  session.decompose.flight = obs_sinks.flight.get();
   session.compute_fit = true;
-
-  Result<uint64_t> producers = GetU64(args, "producers", 1);
-  if (!producers.ok()) return producers.status();
-  if (producers.value() == 0) {
-    return Status::InvalidArgument("--producers must be >= 1");
-  }
-  session.num_producers = static_cast<size_t>(producers.value());
-  Result<uint64_t> capacity = GetU64(args, "queue-capacity", 1024);
-  if (!capacity.ok()) return capacity.status();
-  session.queue_capacity = static_cast<size_t>(capacity.value());
-  Result<ingest::BackpressurePolicy> policy =
-      ingest::ParseBackpressurePolicy(args.Get("backpressure", "block"));
-  if (!policy.ok()) return policy.status();
-  session.backpressure = policy.value();
-  Result<double> rate = GetDouble(args, "rate", 0.0);
-  if (!rate.ok()) return rate.status();
-  session.max_events_per_second = rate.value();
-  Result<double> lateness = GetDouble(args, "lateness", -1.0);
-  if (!lateness.ok()) return lateness.status();
-  session.allowed_lateness_ticks = static_cast<int64_t>(lateness.value());
+  DISMASTD_RETURN_IF_ERROR(
+      GetPumpFlags(args, &session, &session.allowed_lateness_ticks));
 
   Result<uint64_t> fuse = GetU64(args, "fuse-events", 1);
   if (!fuse.ok()) return fuse.status();
@@ -634,9 +705,7 @@ Status CmdStreamIngestContinuous(const Args& args,
                   m.fit);
     out << line << "\n";
   }
-  out << "events  : " << FormatWithCommas(r.events) << " (" << r.duplicates
-      << " duplicate, " << r.late_events << " late, " << r.quarantined
-      << " quarantined)\n";
+  PrintPumpSummary(r, session.queue_capacity, "", out);
   out << "updates : " << FormatWithCommas(r.updates) << " groups, "
       << FormatWithCommas(r.rows_solved) << " rows solved, "
       << FormatWithCommas(r.evicted) << " evicted, " << r.stitches
@@ -645,95 +714,27 @@ Status CmdStreamIngestContinuous(const Args& args,
                 "window  : %llu events retained, last stitch drift %.3e",
                 (unsigned long long)r.window_events, r.last_drift);
   out << line << "\n";
-  out << "queue   : max depth " << r.max_queue_depth << "/"
-      << session.queue_capacity << ", " << r.block_waits
-      << " block waits, " << r.dropped_oldest << " dropped, " << r.rejected
-      << " rejected\n";
-  const obs::HistogramSummary lat =
-      obs::Summarize(*r.event_to_publish_nanos, 1e-3);  // ns -> us
-  std::snprintf(line, sizeof(line),
-                "latency : event->publish p50 %.1f us, p95 %.1f us over "
-                "%llu events",
-                lat.p50, lat.p95, (unsigned long long)lat.count);
-  out << line << "\n";
-  std::snprintf(line, sizeof(line),
-                "wall    : %.3f s (%.0f events/s)", r.wall_seconds,
-                r.wall_seconds > 0.0
-                    ? static_cast<double>(r.events) / r.wall_seconds
-                    : 0.0);
-  out << line << "\n";
   std::snprintf(line, sizeof(line),
                 "publishes: %llu, model fingerprint %016llx",
                 (unsigned long long)r.publishes,
                 (unsigned long long)r.model_fingerprint);
   out << line << "\n";
-
-  const std::string checkpoint_path = args.Get("checkpoint");
-  if (!checkpoint_path.empty()) {
-    StreamCheckpoint checkpoint;
-    checkpoint.factors = r.factors;
-    checkpoint.dims = r.dims;
-    checkpoint.step = r.steps.empty() ? 0 : r.steps.back().step;
-    DISMASTD_RETURN_IF_ERROR(
-        WriteStreamCheckpointFile(checkpoint, checkpoint_path));
-    out << "checkpoint written to " << checkpoint_path << "\n";
-  }
-  return WriteObsSinks(obs_sinks, out);
+  return WriteIngestCheckpoint(args, r.factors, r.dims, r.steps, out);
 }
 
-/// `stream --ingest LOG`: replays a TEVT log through the live pipeline —
-/// producer threads -> bounded queue -> micro-batch delta builder ->
-/// DisMASTD — instead of materializing schedule-driven deltas. With
-/// `--ingest-mode continuous` the DeltaBuilder is bypassed for per-event
-/// continuous-window updates (CmdStreamIngestContinuous).
-Status CmdStreamIngest(const Args& args, std::ostream& out) {
-  Result<MethodKind> method = ParseMethodKind(args.Get("method", "dismastd"));
-  if (!method.ok()) return method.status();
-  if (method.value() != MethodKind::kDisMastd) {
-    return Status::InvalidArgument(
-        "--ingest replays deltas incrementally; only --method dismastd can "
-        "consume them");
-  }
-  Result<DistributedOptions> options_result = GetDistributedOptions(args);
-  if (!options_result.ok()) return options_result.status();
-  ObsSinks obs_sinks;
-  DISMASTD_RETURN_IF_ERROR(SetUpObsSinks(args, &obs_sinks));
-
-  Result<ingest::EventLogReader> log =
-      ingest::EventLogReader::OpenFile(args.Get("ingest"));
-  if (!log.ok()) return log.status();
-
-  Result<cwin::IngestMode> mode =
-      cwin::ParseIngestMode(args.Get("ingest-mode", "batch"));
-  if (!mode.ok()) return mode.status();
-  if (mode.value() == cwin::IngestMode::kContinuous) {
-    return CmdStreamIngestContinuous(args, options_result.value(), obs_sinks,
-                                     log.value(), out);
-  }
-
+/// `stream --ingest LOG --ingest-mode batch` (the default): replays a TEVT
+/// log through the live pipeline — producer threads -> bounded queue ->
+/// micro-batch delta builder -> DisMASTD — instead of materializing
+/// schedule-driven deltas.
+Status CmdStreamIngestBatch(const Args& args,
+                            const DistributedOptions& decompose,
+                            const ingest::EventLogReader& log,
+                            std::ostream& out) {
   ingest::IngestSessionOptions session;
-  session.decompose = options_result.value();
-  session.decompose.tracer = obs_sinks.tracer.get();
-  session.decompose.metrics = obs_sinks.metrics.get();
-  session.decompose.health = obs_sinks.health.get();
-  session.decompose.flight = obs_sinks.flight.get();
+  session.decompose = decompose;
   session.compute_fit = true;
-  Result<uint64_t> producers = GetU64(args, "producers", 1);
-  if (!producers.ok()) return producers.status();
-  if (producers.value() == 0) {
-    return Status::InvalidArgument("--producers must be >= 1");
-  }
-  session.num_producers = static_cast<size_t>(producers.value());
-  Result<uint64_t> capacity = GetU64(args, "queue-capacity", 1024);
-  if (!capacity.ok()) return capacity.status();
-  session.queue_capacity = static_cast<size_t>(capacity.value());
-  Result<ingest::BackpressurePolicy> policy =
-      ingest::ParseBackpressurePolicy(args.Get("backpressure", "block"));
-  if (!policy.ok()) return policy.status();
-  session.backpressure = policy.value();
-  Result<double> rate = GetDouble(args, "rate", 0.0);
-  if (!rate.ok()) return rate.status();
-  session.max_events_per_second = rate.value();
+  DISMASTD_RETURN_IF_ERROR(GetPumpFlags(
+      args, &session, &session.builder.allowed_lateness_ticks));
   Result<uint64_t> batch_events = GetU64(args, "batch-events",
                                          session.builder.max_batch_events);
   if (!batch_events.ok()) return batch_events.status();
@@ -746,14 +747,9 @@ Status CmdStreamIngest(const Args& args, std::ostream& out) {
   Result<uint64_t> horizon = GetU64(args, "horizon", 0);
   if (!horizon.ok()) return horizon.status();
   session.builder.horizon_ticks = static_cast<int64_t>(horizon.value());
-  // Negative = unbounded lateness, so this one parses as a double.
-  Result<double> lateness = GetDouble(args, "lateness", -1.0);
-  if (!lateness.ok()) return lateness.status();
-  session.builder.allowed_lateness_ticks =
-      static_cast<int64_t>(lateness.value());
 
   Result<ingest::IngestSessionResult> run =
-      ingest::RunIngestSession(log.value(), session);
+      ingest::RunIngestSession(log, session);
   if (!run.ok()) return run.status();
   const ingest::IngestSessionResult& r = run.value();
 
@@ -771,41 +767,42 @@ Status CmdStreamIngest(const Args& args, std::ostream& out) {
                   (unsigned long long)m.snapshot_nnz, m.fit);
     out << line << "\n";
   }
-  out << "events  : " << FormatWithCommas(r.events) << " ("
-      << r.duplicates << " duplicate, " << r.late_events << " late, "
-      << r.interior_updates << " interior, " << r.quarantined
-      << " quarantined)\n";
-  out << "queue   : max depth " << r.max_queue_depth << "/"
-      << session.queue_capacity << ", " << r.block_waits
-      << " block waits, " << r.dropped_oldest << " dropped, " << r.rejected
-      << " rejected\n";
-  const obs::HistogramSummary lat =
-      obs::Summarize(*r.event_to_publish_nanos, 1e-3);  // ns -> us
-  std::snprintf(line, sizeof(line),
-                "latency : event->publish p50 %.1f us, p95 %.1f us over "
-                "%llu events",
-                lat.p50, lat.p95, (unsigned long long)lat.count);
-  out << line << "\n";
-  std::snprintf(line, sizeof(line),
-                "wall    : %.3f s (%.0f events/s)", r.wall_seconds,
-                r.wall_seconds > 0.0
-                    ? static_cast<double>(r.events) / r.wall_seconds
-                    : 0.0);
-  out << line << "\n";
+  PrintPumpSummary(r, session.queue_capacity,
+                   std::to_string(r.interior_updates) + " interior, ", out);
   std::snprintf(line, sizeof(line), "batches : %zu, fingerprint %016llx",
                 r.steps.size(), (unsigned long long)r.batch_fingerprint);
   out << line << "\n";
+  return WriteIngestCheckpoint(args, r.factors, r.dims, r.steps, out);
+}
 
-  const std::string checkpoint_path = args.Get("checkpoint");
-  if (!checkpoint_path.empty()) {
-    StreamCheckpoint checkpoint;
-    checkpoint.factors = r.factors;
-    checkpoint.dims = r.dims;
-    checkpoint.step = r.steps.empty() ? 0 : r.steps.back().step;
-    DISMASTD_RETURN_IF_ERROR(
-        WriteStreamCheckpointFile(checkpoint, checkpoint_path));
-    out << "checkpoint written to " << checkpoint_path << "\n";
+/// `stream --ingest LOG`: replays a TEVT log through the ingest policy
+/// `--ingest-mode` names (batch or continuous).
+Status CmdStreamIngest(const Args& args, std::ostream& out) {
+  Result<MethodKind> method = ParseMethodKind(args.Get("method", "dismastd"));
+  if (!method.ok()) return method.status();
+  if (method.value() != MethodKind::kDisMastd) {
+    return Status::InvalidArgument(
+        "--ingest replays deltas incrementally; only --method dismastd can "
+        "consume them");
   }
+  Result<DistributedOptions> options_result = GetDistributedOptions(args);
+  if (!options_result.ok()) return options_result.status();
+  ObsSinks obs_sinks;
+  DISMASTD_RETURN_IF_ERROR(SetUpObsSinks(args, &obs_sinks));
+  DistributedOptions decompose = options_result.value();
+  AttachObsSinks(obs_sinks, &decompose);
+
+  Result<ingest::EventLogReader> log =
+      ingest::EventLogReader::OpenFile(args.Get("ingest"));
+  if (!log.ok()) return log.status();
+
+  Result<cwin::IngestMode> mode =
+      cwin::ParseIngestMode(args.Get("ingest-mode", "batch"));
+  if (!mode.ok()) return mode.status();
+  DISMASTD_RETURN_IF_ERROR(
+      mode.value() == cwin::IngestMode::kContinuous
+          ? CmdStreamIngestContinuous(args, decompose, log.value(), out)
+          : CmdStreamIngestBatch(args, decompose, log.value(), out));
   return WriteObsSinks(obs_sinks, out);
 }
 
@@ -816,10 +813,7 @@ Status CmdStream(const Args& args, std::ostream& out) {
   DistributedOptions options = options_result.value();
   ObsSinks obs_sinks;
   DISMASTD_RETURN_IF_ERROR(SetUpObsSinks(args, &obs_sinks));
-  options.tracer = obs_sinks.tracer.get();
-  options.metrics = obs_sinks.metrics.get();
-  options.health = obs_sinks.health.get();
-  options.flight = obs_sinks.flight.get();
+  AttachObsSinks(obs_sinks, &options);
   Result<MethodKind> method_kind = ParseMethodKind(args.Get("method", "dismastd"));
   if (!method_kind.ok()) return method_kind.status();
   const MethodKind method = method_kind.value();
@@ -959,10 +953,7 @@ Status CmdServeBench(const Args& args, std::ostream& out) {
   DistributedOptions options = options_result.value();
   ObsSinks obs_sinks;
   DISMASTD_RETURN_IF_ERROR(SetUpObsSinks(args, &obs_sinks));
-  options.tracer = obs_sinks.tracer.get();
-  options.metrics = obs_sinks.metrics.get();
-  options.health = obs_sinks.health.get();
-  options.flight = obs_sinks.flight.get();
+  AttachObsSinks(obs_sinks, &options);
   Result<MethodKind> method_kind =
       ParseMethodKind(args.Get("method", "dismastd"));
   if (!method_kind.ok()) return method_kind.status();
