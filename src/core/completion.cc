@@ -117,10 +117,7 @@ CompletionResult CompleteCpFrom(const SparseTensor& x,
     const double rmse = ObservedRmse(KruskalTensor(factors), x);
     result.rmse_history.push_back(rmse);
     ++result.iterations;
-    if (options.tolerance > 0.0 && prev_rmse >= 0.0) {
-      const double denom = prev_rmse > 0.0 ? prev_rmse : 1.0;
-      if (std::abs(prev_rmse - rmse) / denom < options.tolerance) break;
-    }
+    if (LossConverged(prev_rmse, rmse, options.tolerance)) break;
     prev_rmse = rmse;
   }
   result.factors = KruskalTensor(std::move(factors));

@@ -1,7 +1,6 @@
 #include "core/cp_als.h"
 
-#include <cmath>
-
+#include "core/dtd.h"
 #include "la/ops.h"
 #include "la/solve.h"
 #include "tensor/mttkrp.h"
@@ -81,10 +80,7 @@ AlsResult CpAlsFrom(const SparseTensor& x, std::vector<Matrix> init,
     result.loss_history.push_back(loss);
     ++result.iterations;
 
-    if (options.tolerance > 0.0 && prev_loss >= 0.0) {
-      const double denom_loss = prev_loss > 0.0 ? prev_loss : 1.0;
-      if (std::abs(prev_loss - loss) / denom_loss < options.tolerance) break;
-    }
+    if (LossConverged(prev_loss, loss, options.tolerance)) break;
     prev_loss = loss;
   }
 

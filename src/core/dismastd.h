@@ -126,9 +126,11 @@ struct DistributedRunMetrics {
   /// an elastic coordinator scales the cluster).
   uint32_t num_workers = 0;
   /// Per-worker busy seconds across the run's supersteps (cost-model terms
-  /// before the BSP max) and their max/avg ratio — the realized load
-  /// imbalance the elastic monitor watches.
+  /// before the BSP max), their max and mean, and the max/avg ratio — the
+  /// realized load imbalance the elastic monitor watches.
   std::vector<double> worker_busy_seconds;
+  double busy_seconds_max = 0.0;
+  double busy_seconds_avg = 0.0;
   double load_imbalance = 1.0;
   /// Elastic-cluster activity of this run (zeros without a coordinator).
   bool elastic_active = false;

@@ -1,7 +1,5 @@
 #include "core/driver.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/flightrec.h"
@@ -33,15 +31,9 @@ void FillStepMetrics(const DistributedResult& result, StreamStepMetrics* sm) {
   sm->orphaned_messages = result.metrics.orphaned_messages;
   sm->leaked_messages = result.metrics.leaked_messages;
   sm->num_workers = result.metrics.num_workers;
+  sm->busy_seconds_max = result.metrics.busy_seconds_max;
+  sm->busy_seconds_avg = result.metrics.busy_seconds_avg;
   sm->load_imbalance = result.metrics.load_imbalance;
-  for (double b : result.metrics.worker_busy_seconds) {
-    sm->busy_seconds_max = std::max(sm->busy_seconds_max, b);
-    sm->busy_seconds_avg += b;
-  }
-  if (!result.metrics.worker_busy_seconds.empty()) {
-    sm->busy_seconds_avg /=
-        static_cast<double>(result.metrics.worker_busy_seconds.size());
-  }
   sm->elastic_active = result.metrics.elastic_active;
   sm->elastic_repartitioned = result.metrics.repartitioned;
   sm->workers_added = result.metrics.workers_added;
@@ -212,48 +204,26 @@ std::vector<StreamStepMetrics> RunStreamingExperiment(
   obs::Tracer* tracer = options.tracer;
   if (obs::Active(tracer)) tracer->RegisterWallLane("driver");
 
+  // DMS-MG re-decomposes every snapshot from scratch; the engine runs it
+  // with no previous snapshot (all-zero old dims, empty factors), so
+  // elastic coordination — a persistent partition and chained state to
+  // migrate — has nothing to act on.
+  const bool dms_mg = method == MethodKind::kDmsMg;
+  DISMASTD_CHECK(!dms_mg || options.elastic == nullptr);
   KruskalTensor prev_factors;
-  std::vector<uint64_t> prev_dims;
+  std::vector<uint64_t> prev_dims(stream.full().order(), 0);
 
   for (size_t step = 0; step < stream.num_steps(); ++step) {
-    StreamStepMetrics sm;
-    if (method == MethodKind::kDisMastd) {
-      const SparseTensor delta = stream.DeltaAt(step);
-      const std::vector<uint64_t> old_dims =
-          step == 0 ? std::vector<uint64_t>(delta.order(), 0) : prev_dims;
-      sm = RunDisMastdDeltaStep(delta, old_dims, stream.DimsAt(step),
-                                &prev_factors, step, options);
-      prev_dims = stream.DimsAt(step);
-    } else {
-      obs::ScopedWallSpan step_wall(tracer, "stream_step", "stream",
-                                    "driver");
-      if (obs::Active(tracer)) {
-        tracer->BeginSim(obs::Tracer::kDriverLane,
-                         ("step " + std::to_string(step)).c_str(), "stream",
-                         0.0, {{"step", std::to_string(step)}});
-      }
-      sm.step = step;
-      sm.dims = stream.DimsAt(step);
-      const SparseTensor snapshot = stream.SnapshotAt(step);
-      sm.processed_nnz = snapshot.nnz();
-      DistributedOptions step_options = options;
-      step_options.als.seed = options.als.seed + step * 7919;
-      step_options.stream_step = step;
-      const DistributedResult result = DmsMgDecompose(snapshot, step_options);
-      prev_factors = result.als.factors;
-      FillStepMetrics(result, &sm);
-      if (obs::Active(tracer)) {
-        tracer->EndSim(obs::Tracer::kDriverLane,
-                       result.metrics.sim_seconds_total);
-        tracer->AdvanceSimBase(result.metrics.sim_seconds_total);
-      }
-      MaybeWriteStepCheckpoint(options, prev_factors, sm.dims, step);
-    }
-
+    const SparseTensor input =
+        dms_mg ? stream.SnapshotAt(step) : stream.DeltaAt(step);
+    if (dms_mg) prev_factors = KruskalTensor();
+    StreamStepMetrics sm = RunDisMastdDeltaStep(
+        input, prev_dims, stream.DimsAt(step), &prev_factors, step, options);
+    if (!dms_mg) prev_dims = stream.DimsAt(step);
     sm.snapshot_nnz = stream.SnapshotNnz(step);
     if (compute_fit) {
-      const SparseTensor snapshot = stream.SnapshotAt(step);
-      sm.fit = prev_factors.Fit(snapshot);
+      sm.fit = dms_mg ? prev_factors.Fit(input)
+                      : prev_factors.Fit(stream.SnapshotAt(step));
     }
     ObserveStepHealth(options, sm, compute_fit);
     if (observer) observer(sm, prev_factors);

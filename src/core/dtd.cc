@@ -33,6 +33,65 @@ std::vector<Matrix> InitializeDtdFactors(const std::vector<uint64_t>& new_dims,
   return factors;
 }
 
+GramHadamards HadamardOverModes(const std::vector<Matrix>& g0,
+                                const std::vector<Matrix>& g1,
+                                const std::vector<Matrix>& h, size_t skip) {
+  // Zero products when no mode contributes (an order-1 tensor's update).
+  const size_t rank = g0.empty() ? 0 : g0[0].rows();
+  GramHadamards had{Matrix(rank, rank), Matrix(rank, rank),
+                    Matrix(rank, rank)};
+  bool first = true;
+  for (size_t k = 0; k < g0.size(); ++k) {
+    if (k == skip) continue;
+    const Matrix g01 = LinearCombine(1.0, g0[k], 1.0, g1[k]);
+    if (first) {
+      had.h = h[k];
+      had.g01 = g01;
+      had.g0 = g0[k];
+      first = false;
+    } else {
+      HadamardInPlace(had.h, h[k]);
+      HadamardInPlace(had.g01, g01);
+      HadamardInPlace(had.g0, g0[k]);
+    }
+  }
+  return had;
+}
+
+Matrix OldRowSystem(const GramHadamards& had, double mu) {
+  return LinearCombine(1.0, had.g01, -(1.0 - mu), had.g0);
+}
+
+DtdLossBase MakeDtdLossBase(const SparseTensor& delta,
+                            const std::vector<uint64_t>& old_dims,
+                            const KruskalTensor& prev) {
+  DtdLossBase base;
+  for (uint64_t d : old_dims) base.has_prev = base.has_prev || d > 0;
+  if (base.has_prev) base.prev_model_norm_sq = prev.NormSquaredViaGrams();
+  base.delta_norm_sq = delta.NormSquared();
+  return base;
+}
+
+double DtdLoss(const DtdLossBase& base, const GramHadamards& all,
+               double inner, double mu) {
+  const double a0_model_norm_sq = SumAll(all.g0);
+  const double full_model_norm_sq = SumAll(all.g01);
+  const double cross = SumAll(all.h);
+  double loss = 0.0;
+  if (base.has_prev) {
+    loss += mu * (base.prev_model_norm_sq + a0_model_norm_sq - 2.0 * cross);
+  }
+  loss += base.delta_norm_sq + (full_model_norm_sq - a0_model_norm_sq) -
+          2.0 * inner;
+  return loss < 0.0 ? 0.0 : loss;
+}
+
+bool LossConverged(double prev_loss, double loss, double tolerance) {
+  if (tolerance <= 0.0 || prev_loss < 0.0) return false;
+  const double denom = prev_loss > 0.0 ? prev_loss : 1.0;
+  return std::abs(prev_loss - loss) / denom < tolerance;
+}
+
 AlsResult DynamicTensorDecomposition(const SparseTensor& delta,
                                      const std::vector<uint64_t>& old_dims,
                                      const KruskalTensor& prev,
@@ -41,9 +100,6 @@ AlsResult DynamicTensorDecomposition(const SparseTensor& delta,
   DISMASTD_CHECK(old_dims.size() == order);
   DISMASTD_CHECK(options.rank >= 1);
   const double mu = options.mu;
-
-  bool has_prev = false;
-  for (uint64_t d : old_dims) has_prev = has_prev || d > 0;
 
   std::vector<Matrix> factors =
       InitializeDtdFactors(delta.dims(), old_dims, prev, options);
@@ -65,10 +121,7 @@ AlsResult DynamicTensorDecomposition(const SparseTensor& delta,
   };
   for (size_t n = 0; n < order; ++n) refresh_products(n);
 
-  // Constant loss ingredients (§IV-B4): ‖[[Ã_1..Ã_N]]‖² and ‖X \ X̃‖².
-  double prev_model_norm_sq = 0.0;
-  if (has_prev) prev_model_norm_sq = prev.NormSquaredViaGrams();
-  const double delta_norm_sq = delta.NormSquared();
+  const DtdLossBase loss_base = MakeDtdLossBase(delta, old_dims, prev);
 
   AlsResult result;
   double prev_loss = -1.0;
@@ -85,35 +138,16 @@ AlsResult DynamicTensorDecomposition(const SparseTensor& delta,
       // S_n^0 and S_n^1 at once: the row index decides which update the
       // contribution feeds.
       Matrix mttkrp = Mttkrp(delta, factor_ptrs, n);
-
-      // Hadamard accumulations over k != n.
-      Matrix had_h(options.rank, options.rank);
-      Matrix had_g01(options.rank, options.rank);
-      Matrix had_g0(options.rank, options.rank);
-      bool first = true;
-      for (size_t k = 0; k < order; ++k) {
-        if (k == n) continue;
-        const Matrix g01 = LinearCombine(1.0, g0[k], 1.0, g1[k]);
-        if (first) {
-          had_h = h[k];
-          had_g01 = g01;
-          had_g0 = g0[k];
-          first = false;
-        } else {
-          HadamardInPlace(had_h, h[k]);
-          HadamardInPlace(had_g01, g01);
-          HadamardInPlace(had_g0, g0[k]);
-        }
-      }
+      const GramHadamards had = HadamardOverModes(g0, g1, h, n);
 
       // A_n^(0) update (Eq. 5, first rule).
       if (old_rows > 0) {
-        Matrix numerator = MatMul(prev.factor(n), had_h);
+        Matrix numerator = MatMul(prev.factor(n), had.h);
         ScaleInPlace(numerator, mu);
         const Matrix mttkrp_old = mttkrp.RowSlice(0, old_rows);
         AddInPlace(numerator, mttkrp_old);
-        Matrix denom = LinearCombine(1.0, had_g01, -(1.0 - mu), had_g0);
-        const Matrix a0 = SolveNormalEquationsRows(denom, numerator);
+        const Matrix a0 =
+            SolveNormalEquationsRows(OldRowSystem(had, mu), numerator);
         for (size_t r = 0; r < old_rows; ++r) {
           std::copy(a0.RowPtr(r), a0.RowPtr(r) + options.rank,
                     factors[n].RowPtr(r));
@@ -123,7 +157,7 @@ AlsResult DynamicTensorDecomposition(const SparseTensor& delta,
       if (new_rows > 0) {
         const Matrix numerator =
             mttkrp.RowSlice(old_rows, old_rows + new_rows);
-        const Matrix a1 = SolveNormalEquationsRows(had_g01, numerator);
+        const Matrix a1 = SolveNormalEquationsRows(had.g01, numerator);
         for (size_t r = 0; r < new_rows; ++r) {
           std::copy(a1.RowPtr(r), a1.RowPtr(r) + options.rank,
                     factors[n].RowPtr(old_rows + r));
@@ -133,41 +167,16 @@ AlsResult DynamicTensorDecomposition(const SparseTensor& delta,
       if (n + 1 == order) mttkrp_last = std::move(mttkrp);
     }
 
-    // Loss (Eq. 4) assembled from maintained intermediates (§IV-B4):
-    //   L = μ‖[[Ã]] - [[A^(0)]]‖² + ‖X\X̃‖² + (‖Y‖² - ‖Y^(0..0)‖²) - 2⟨X\X̃, Y⟩.
-    Matrix had_g0_all = g0[0];
-    Matrix had_g01_all = LinearCombine(1.0, g0[0], 1.0, g1[0]);
-    Matrix had_h_all = h[0];
-    for (size_t k = 1; k < order; ++k) {
-      HadamardInPlace(had_g0_all, g0[k]);
-      HadamardInPlace(had_g01_all, LinearCombine(1.0, g0[k], 1.0, g1[k]));
-      HadamardInPlace(had_h_all, h[k]);
-    }
-    const double a0_model_norm_sq = SumAll(had_g0_all);
-    const double full_model_norm_sq = SumAll(had_g01_all);
-    const double cross = SumAll(had_h_all);
-
-    double inner;
-    if (options.reuse_intermediates) {
-      inner = DotAll(mttkrp_last, factors[order - 1]);
-    } else {
-      inner = KruskalTensor(factors).InnerWithSparse(delta);
-    }
-
-    double loss = 0.0;
-    if (has_prev) {
-      loss += mu * (prev_model_norm_sq + a0_model_norm_sq - 2.0 * cross);
-    }
-    loss += delta_norm_sq + (full_model_norm_sq - a0_model_norm_sq) -
-            2.0 * inner;
-    if (loss < 0.0) loss = 0.0;
+    const double inner =
+        options.reuse_intermediates
+            ? DotAll(mttkrp_last, factors[order - 1])
+            : KruskalTensor(factors).InnerWithSparse(delta);
+    const double loss =
+        DtdLoss(loss_base, HadamardOverModes(g0, g1, h, order), inner, mu);
     result.loss_history.push_back(loss);
     ++result.iterations;
 
-    if (options.tolerance > 0.0 && prev_loss >= 0.0) {
-      const double denom_loss = prev_loss > 0.0 ? prev_loss : 1.0;
-      if (std::abs(prev_loss - loss) / denom_loss < options.tolerance) break;
-    }
+    if (LossConverged(prev_loss, loss, options.tolerance)) break;
     prev_loss = loss;
   }
 

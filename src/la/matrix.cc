@@ -52,6 +52,8 @@ void Matrix::ResizeZero(size_t rows, size_t cols) {
 Matrix Matrix::RowSlice(size_t begin, size_t end) const {
   DISMASTD_CHECK(begin <= end && end <= rows_);
   Matrix out(end - begin, cols_);
+  // memcpy's pointers must be non-null even for zero bytes.
+  if (out.size() == 0) return out;
   std::memcpy(out.data(), data_.data() + begin * cols_,
               (end - begin) * cols_ * sizeof(double));
   return out;

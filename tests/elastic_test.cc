@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "dist/elastic.h"
 #include "dist/fault.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/model_store.h"
 #include "stream/generator.h"
 #include "stream/snapshot.h"
@@ -307,6 +310,53 @@ TEST(ElasticStreamingTest, ScalePlanExecutesWithStateMigration) {
     EXPECT_EQ(m.leaked_messages, 0u) << "step " << m.step;
     EXPECT_TRUE(std::isfinite(m.final_loss)) << "step " << m.step;
   }
+}
+
+/// Sim-clock durations, in order, of the driver lane's `partition` phase
+/// spans in a Chrome-trace export (one event per line; phase spans are
+/// leaves, so the next driver-lane E event closes each one).
+std::vector<double> PartitionSpanSeconds(const std::string& json) {
+  std::vector<double> seconds;
+  std::istringstream is(json);
+  std::string line;
+  double open_us = -1.0;
+  while (std::getline(is, line)) {
+    if (line.find("\"pid\":1,\"tid\":0,") == std::string::npos) continue;
+    const size_t ts = line.find("\"ts\":");
+    if (ts == std::string::npos) continue;
+    const double us = std::strtod(line.c_str() + ts + 5, nullptr);
+    if (line.find("\"ph\":\"B\"") != std::string::npos &&
+        line.find("\"name\":\"partition\"") != std::string::npos) {
+      open_us = us;
+    } else if (open_us >= 0.0 &&
+               line.find("\"ph\":\"E\"") != std::string::npos) {
+      seconds.push_back((us - open_us) * 1e-6);
+      open_us = -1.0;
+    }
+  }
+  return seconds;
+}
+
+TEST(ElasticStreamingTest, PartitionTimeExcludesRepartitionAndMigrate) {
+  // sim_seconds_partitioning is the partition superstep's own duration: on
+  // a step that repartitions and migrates first, it must not also count
+  // those supersteps (they have their own fields).
+  const StreamingTensorSequence stream = MakeStream(2);
+  obs::Tracer tracer(obs::TraceDetail::kPhases);
+  DistributedOptions options = BaseOpts();
+  options.tracer = &tracer;
+  const ElasticRun run =
+      RunElastic(stream, options, ScaleOnlyOpts("add=2@2,drain=2@4"));
+  const std::vector<double> spans =
+      PartitionSpanSeconds(tracer.ToChromeTraceJson(/*include_wall=*/false));
+  ASSERT_EQ(spans.size(), run.metrics.size());
+  for (const StreamStepMetrics& m : run.metrics) {
+    // The export rounds timestamps to 1e-3 us.
+    EXPECT_NEAR(m.sim_seconds_partitioning, spans[m.step], 1e-8)
+        << "step " << m.step;
+  }
+  EXPECT_TRUE(run.metrics[2].elastic_repartitioned);
+  EXPECT_TRUE(run.metrics[4].elastic_repartitioned);
 }
 
 TEST(ElasticStreamingTest, DeterministicAcrossRunsAndThreadCounts) {

@@ -84,6 +84,11 @@ TEST(MatrixTest, RowSlice) {
   const Matrix empty = m.RowSlice(2, 2);
   EXPECT_EQ(empty.rows(), 0u);
   EXPECT_EQ(empty.cols(), 2u);
+  // An empty slice of an empty matrix copies nothing (under UBSan, a
+  // memcpy from its null data would be reported).
+  const Matrix none = Matrix(0, 3).RowSlice(0, 0);
+  EXPECT_EQ(none.rows(), 0u);
+  EXPECT_EQ(none.cols(), 3u);
 }
 
 TEST(MatrixTest, VStack) {

@@ -29,16 +29,17 @@ cmake -S "${repo_root}" -B "${build_dir}" \
   -DDISMASTD_BUILD_BENCHMARKS=OFF \
   -DDISMASTD_BUILD_EXAMPLES=OFF
 
-cmake --build "${build_dir}" -j \
-  --target thread_pool_test cluster_test determinism_test \
-  fault_test fault_recovery_test elastic_test kernels_test \
-  model_store_test query_engine_test serve_metrics_test \
-  ann_index_test result_cache_test \
-  histogram_test metric_registry_test trace_test health_test \
-  event_log_test event_queue_test delta_builder_test ingest_session_test \
-  ingest_golden_test cwin_test
+tests=(thread_pool_test cluster_test determinism_test
+  fault_test fault_recovery_test elastic_test kernels_test
+  model_store_test query_engine_test serve_metrics_test
+  ann_index_test result_cache_test
+  histogram_test metric_registry_test trace_test health_test
+  event_log_test event_queue_test delta_builder_test ingest_session_test
+  ingest_golden_test cwin_test)
+
+cmake --build "${build_dir}" -j"$(nproc)" --target "${tests[@]}"
 
 ctest --test-dir "${build_dir}" --output-on-failure \
-  -R '^(thread_pool_test|cluster_test|determinism_test|fault_test|fault_recovery_test|elastic_test|kernels_test|model_store_test|query_engine_test|serve_metrics_test|ann_index_test|result_cache_test|histogram_test|metric_registry_test|trace_test|health_test|event_log_test|event_queue_test|delta_builder_test|ingest_session_test|ingest_golden_test|cwin_test)$'
+  -R "^($(IFS='|'; echo "${tests[*]}"))\$"
 
 echo "TSan: all clean"
