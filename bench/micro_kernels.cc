@@ -129,10 +129,11 @@ void BM_NormalEquationSolve(benchmark::State& state) {
 BENCHMARK(BM_NormalEquationSolve)->Arg(1000)->Arg(10000);
 
 // ---------------------------------------------------------------------------
-// Row-batched update kernels next to the per-row calls they replace, at the
-// paper's R = 10 over a 6400-row partition (the size of one Netflix-mimic
-// mode-0 part at 15 workers). Each reports ns_per_row. Arg 0 runs the
-// per-row form, arg 1 the batched kernel; both produce the same bits.
+// Row-batched update kernels next to the calls they replace, at the paper's
+// R = 10 over a 6400-row partition (the size of one Netflix-mimic mode-0
+// part at 15 workers; BM_RowUpdate runs all 15). Each reports ns_per_row.
+// Arg 0 runs the per-row (or composed) form, arg 1 the batched (or fused)
+// kernel; both produce the same bits.
 
 constexpr size_t kRowBenchRank = 10;
 constexpr size_t kRowBenchRows = 6400;
@@ -144,32 +145,89 @@ void SetNsPerRow(benchmark::State& state, size_t rows) {
   state.SetItemsProcessed(static_cast<int64_t>(rows) * state.iterations());
 }
 
-void BM_RowNumerator(benchmark::State& state) {
-  // μ Ã[r,:]·had_h: 10 strided dots per row vs one row_times_matrix call.
+void BM_RowUpdate(benchmark::State& state) {
+  // The Eq. 5 row update of one mode with its Gram partials: 96,000 old
+  // rows scattered over 15 parts, as MTP leaves the Netflix mimic's mode 0.
+  // Arg 0 runs the composed sequence: per part, the numerator rows (the
+  // blocked-8 dots through topk_score_block over had_hᵀ, bit-identical to
+  // the per-column dot_strided), mul/add, one cholesky_solve_rows call and
+  // a scatter into the factor; then, after every part, gram_update_rows
+  // over each part's rows for the Gram and the cross-Gram, prefetching 8
+  // rows ahead in the gathers and the scatter. Arg 1 runs one update_rows
+  // call per part. Both produce the same bits.
   const kernels::KernelTable& kern = kernels::Get();
-  const bool batched = state.range(0) != 0;
+  const bool fused = state.range(0) != 0;
   const size_t rank = kRowBenchRank;
+  constexpr size_t kRows = 96000;
+  constexpr size_t kParts = 15;
   Rng rng(21);
-  const Matrix prev = Matrix::Random(kRowBenchRows, rank, rng);
+  const Matrix prev = Matrix::Random(kRows, rank, rng);
+  const Matrix mttkrp = Matrix::Random(kRows, rank, rng);
   const Matrix had_h = Matrix::Random(rank, rank, rng);
-  Matrix out(kRowBenchRows, rank);
+  Matrix had_h_t(rank, rank);
+  for (size_t i = 0; i < rank; ++i) {
+    for (size_t c = 0; c < rank; ++c) had_h_t(c, i) = had_h(i, c);
+  }
+  const Matrix basis = Matrix::Random(rank + 8, rank, rng);
+  Matrix lower;
+  DISMASTD_CHECK_OK(CholeskyFactor(TransposeTimes(basis, basis), &lower));
+  std::vector<std::vector<uint64_t>> parts(kParts);
+  for (uint64_t r = 0; r < kRows; ++r) {
+    parts[rng.NextBounded(kParts)].push_back(r);
+  }
+  const double mu = 0.5;
+  constexpr size_t kAhead = 8;
+  const auto prefetch_row = [](const Matrix& m, uint64_t r) {
+    __builtin_prefetch(m.RowPtr(r));
+    __builtin_prefetch(m.RowPtr(r) + m.cols() - 1);
+  };
+  Matrix factor(kRows, rank);
+  Matrix g(rank, rank), h(rank, rank);
   for (auto _ : state) {
-    for (size_t r = 0; r < kRowBenchRows; ++r) {
-      double* o = out.RowPtr(r);
-      if (batched) {
-        kern.row_times_matrix(prev.RowPtr(r), had_h.data(), rank, o);
-      } else {
-        for (size_t c = 0; c < rank; ++c) {
-          o[c] = kern.dot_strided(prev.RowPtr(r), 1, had_h.data() + c, rank,
-                                  rank);
+    g.Fill(0.0);
+    h.Fill(0.0);
+    for (const std::vector<uint64_t>& rows : parts) {
+      if (fused) {
+        kern.update_rows(rows.data(), rows.size(), rank, prev.data(),
+                         had_h.data(), mu, mttkrp.data(), lower.data(),
+                         factor.data(), g.data(), h.data());
+        continue;
+      }
+      Matrix numerator(rows.size(), rank);
+      for (size_t i = 0; i < rows.size(); ++i) {
+        if (i + kAhead < rows.size()) {
+          prefetch_row(prev, rows[i + kAhead]);
+          prefetch_row(mttkrp, rows[i + kAhead]);
         }
+        double* out = numerator.RowPtr(i);
+        kern.topk_score_block(had_h_t.data(), rank, rank,
+                              prev.RowPtr(rows[i]), out);
+        const double* m = mttkrp.RowPtr(rows[i]);
+        for (size_t c = 0; c < rank; ++c) out[c] = mu * out[c] + m[c];
+      }
+      kern.cholesky_solve_rows(lower.data(), rank, numerator.data(),
+                               rows.size(), numerator.data());
+      for (size_t i = 0; i < rows.size(); ++i) {
+        if (i + kAhead < rows.size()) prefetch_row(factor, rows[i + kAhead]);
+        std::copy(numerator.RowPtr(i), numerator.RowPtr(i) + rank,
+                  factor.RowPtr(rows[i]));
       }
     }
-    benchmark::DoNotOptimize(out.data());
+    if (!fused) {
+      for (const std::vector<uint64_t>& rows : parts) {
+        kern.gram_update_rows(factor.data(), factor.data(), rows.data(),
+                              rows.size(), rank, g.data());
+        kern.gram_update_rows(prev.data(), factor.data(), rows.data(),
+                              rows.size(), rank, h.data());
+      }
+    }
+    benchmark::DoNotOptimize(factor.data());
+    benchmark::DoNotOptimize(g.data());
+    benchmark::DoNotOptimize(h.data());
   }
-  SetNsPerRow(state, kRowBenchRows);
+  SetNsPerRow(state, kRows);
 }
-BENCHMARK(BM_RowNumerator)->Arg(0)->Arg(1);
+BENCHMARK(BM_RowUpdate)->Arg(0)->Arg(1);
 
 void BM_RowSolve(benchmark::State& state) {
   // Forward/back substitution against a shared Cholesky factor: one

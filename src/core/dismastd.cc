@@ -61,29 +61,6 @@ size_t OldRowCount(const std::vector<uint64_t>& rows, size_t old_rows) {
       rows.begin());
 }
 
-/// How many rows ahead the gathers and scatters over a partition's rows
-/// prefetch. A partition's rows are scattered over the factor (MTP assigns
-/// slices by load), so on the skewed Netflix mimic these loads miss cache.
-constexpr size_t kRowPrefetch = 8;
-
-/// Hints the cache to load row r of `m` (its first and last element).
-void PrefetchRow(const Matrix& m, uint64_t r) {
-  const double* row = m.RowPtr(static_cast<size_t>(r));
-  __builtin_prefetch(row);
-  __builtin_prefetch(row + (m.cols() > 0 ? m.cols() - 1 : 0));
-}
-
-/// Writes row i of `solved` to row rows[i] of `factor`.
-void ScatterRows(const Matrix& solved, const uint64_t* rows, Matrix* factor) {
-  for (size_t i = 0; i < solved.rows(); ++i) {
-    if (i + kRowPrefetch < solved.rows()) {
-      PrefetchRow(*factor, rows[i + kRowPrefetch]);
-    }
-    std::copy(solved.RowPtr(i), solved.RowPtr(i) + solved.cols(),
-              factor->RowPtr(static_cast<size_t>(rows[i])));
-  }
-}
-
 /// Everything the phases of one DisMASTD step share (§IV): the inputs, the
 /// simulated cluster with its executor and fault injector, the step's
 /// partitioning and per-part data, the factors with their replicated R x R
@@ -121,7 +98,10 @@ struct StepContext {
         rows_of_part(order),
         g0(order),
         g1(order),
-        h(order) {
+        h(order),
+        partial_g0(workers, Matrix(rank, rank)),
+        partial_g1(workers, Matrix(rank, rank)),
+        partial_h(workers, Matrix(rank, rank)) {
     if (injector.enabled()) cluster.AttachFaultInjector(&injector);
     // Sim-clock spans land on the tracer's driver lane (this thread); the
     // registry's histogram pointer is stable, so the network records
@@ -190,6 +170,10 @@ struct StepContext {
   std::vector<Matrix> init_factors;
   // Replicated R x R products (cached on every worker, §IV-B2/3).
   std::vector<Matrix> g0, g1, h;
+  // Each worker's partials of the mode being updated, over the rows it
+  // owns: accumulated by the row update in superstep A, all-to-all reduced
+  // into g0/g1/h in superstep B.
+  std::vector<Matrix> partial_g0, partial_g1, partial_h;
   DtdLossBase loss_base;
   DistributedResult result;
 };
@@ -397,12 +381,19 @@ void AccountProducts(StepContext& c, SuperstepAccounting& acct) {
   }
 }
 
+/// The Cholesky factor update_rows solves against: null for the zero-update
+/// fallback.
+const double* SolveLower(const FactoredNormalEquations& system) {
+  return system.zero ? nullptr : system.lower.data();
+}
+
 /// Row-wise factor update (Eq. 5) of mode n on each owner partition. Each
-/// worker rewrites only the factor rows its partitions own. The two R x R
-/// systems (old rows: OldRowSystem, new rows: had.g01) are factored once
-/// here — ridge retry and zero fallback included — and shared by every
-/// partition; the replicated inputs make that identical to factoring them
-/// on every worker.
+/// worker rewrites only the factor rows its partitions own and, in the same
+/// pass, accumulates its Gram partials over them for superstep B. The two
+/// R x R systems (old rows: OldRowSystem, new rows: had.g01) are factored
+/// once here — ridge retry and zero fallback included — and shared by
+/// every partition; the replicated inputs make that identical to factoring
+/// them on every worker.
 void UpdateRows(StepContext& c, size_t n, const GramHadamards& had,
                 const Matrix& mttkrp, SuperstepAccounting* acct) {
   const size_t old_rows = static_cast<size_t>(c.old_dims[n]);
@@ -415,43 +406,27 @@ void UpdateRows(StepContext& c, size_t n, const GramHadamards& had,
   const FactoredNormalEquations new_system =
       factor.rows() > old_rows ? FactorNormalEquations(had.g01)
                                : FactoredNormalEquations();
+  for (uint32_t w = 0; w < c.workers; ++w) {
+    c.partial_g0[w].Fill(0.0);
+    c.partial_g1[w].Fill(0.0);
+    c.partial_h[w].Fill(0.0);
+  }
   RunOverParts(c, acct, [&](uint32_t w, uint32_t q, auto& shard) {
     const auto& rows = c.rows_of_part[n][q];
     if (rows.empty()) return;
-    // rows ascend, so the old rows (< old_rows) are a prefix.
+    // rows ascend, so the old rows (< old_rows) are a prefix:
+    // μ Ã[r,:]·had_h + Â[r,:] over OldRowSystem, then Â[r,:] over had.g01.
     const size_t split = OldRowCount(rows, old_rows);
     if (split > 0) {
-      // numerator = μ Ã[r,:]·had_h + Â[r,:]
-      const Matrix& prev_n = c.prev.factor(n);
-      Matrix numerator(split, rank);
-      for (size_t i = 0; i < split; ++i) {
-        if (i + kRowPrefetch < split) {
-          PrefetchRow(prev_n, rows[i + kRowPrefetch]);
-          PrefetchRow(mttkrp, rows[i + kRowPrefetch]);
-        }
-        const size_t r = static_cast<size_t>(rows[i]);
-        double* out = numerator.RowPtr(i);
-        c.kern.row_times_matrix(prev_n.RowPtr(r), had.h.data(), rank, out);
-        const double* m = mttkrp.RowPtr(r);
-        for (size_t col = 0; col < rank; ++col) {
-          out[col] = mu * out[col] + m[col];
-        }
-      }
-      SolveFactoredRowsInPlace(old_system, &numerator);
-      ScatterRows(numerator, rows.data(), &factor);
+      c.kern.update_rows(rows.data(), split, rank, c.prev.factor(n).data(),
+                         had.h.data(), mu, mttkrp.data(),
+                         SolveLower(old_system), factor.data(),
+                         c.partial_g0[w].data(), c.partial_h[w].data());
     }
-    if (split < rows.size()) {
-      Matrix numerator(rows.size() - split, rank);
-      for (size_t i = split; i < rows.size(); ++i) {
-        if (i + kRowPrefetch < rows.size()) {
-          PrefetchRow(mttkrp, rows[i + kRowPrefetch]);
-        }
-        const double* m = mttkrp.RowPtr(static_cast<size_t>(rows[i]));
-        std::copy(m, m + rank, numerator.RowPtr(i - split));
-      }
-      SolveFactoredRowsInPlace(new_system, &numerator);
-      ScatterRows(numerator, rows.data() + split, &factor);
-    }
+    c.kern.update_rows(rows.data() + split, rows.size() - split, rank,
+                       nullptr, nullptr, 0.0, mttkrp.data(),
+                       SolveLower(new_system), factor.data(),
+                       c.partial_g1[w].data(), nullptr);
     shard.AddTask(w, rows.size() * 4 * rank * rank + rank * rank * rank);
   });
 }
@@ -497,31 +472,21 @@ Matrix MttkrpUpdatePhase(StepContext& c, size_t n) {
   return mttkrp;
 }
 
-/// Superstep B of mode n: all-to-all reduction of its Gram products over
-/// the workers' owned rows.
+/// Superstep B of mode n: all-to-all reduction of its Gram products. The
+/// row update of superstep A already accumulated each worker's partials
+/// over its owned rows; this superstep is charged for that work.
 void GramReducePhase(StepContext& c, size_t n) {
   const size_t old_rows = static_cast<size_t>(c.old_dims[n]);
   const size_t rank = c.rank;
   SuperstepAccounting acct = c.cluster.NewSuperstep();
-  std::vector<Matrix> p_g0(c.workers, Matrix(rank, rank));
-  std::vector<Matrix> p_g1(c.workers, Matrix(rank, rank));
-  std::vector<Matrix> p_h(c.workers, Matrix(rank, rank));
-  const double* a = c.factors[n].data();
   RunOverParts(c, &acct, [&](uint32_t w, uint32_t q, auto& shard) {
     const auto& rows = c.rows_of_part[n][q];
     const size_t split = OldRowCount(rows, old_rows);
-    if (split > 0) {
-      const double* p = c.prev.factor(n).data();
-      c.kern.gram_update_rows(a, a, rows.data(), split, rank, p_g0[w].data());
-      c.kern.gram_update_rows(p, a, rows.data(), split, rank, p_h[w].data());
-    }
-    c.kern.gram_update_rows(a, a, rows.data() + split, rows.size() - split,
-                            rank, p_g1[w].data());
     shard.AddTask(w, (2 * split + (rows.size() - split)) * rank * rank);
   });
-  c.g0[n] = c.cluster.AllToAllReduceMatrix(p_g0, &acct);
-  c.g1[n] = c.cluster.AllToAllReduceMatrix(p_g1, &acct);
-  c.h[n] = c.cluster.AllToAllReduceMatrix(p_h, &acct);
+  c.g0[n] = c.cluster.AllToAllReduceMatrix(c.partial_g0, &acct);
+  c.g1[n] = c.cluster.AllToAllReduceMatrix(c.partial_g1, &acct);
+  c.h[n] = c.cluster.AllToAllReduceMatrix(c.partial_h, &acct);
   c.result.metrics.sim_seconds_gram_reduce +=
       c.CommitPhase(acct, "gram_reduce");
 }
@@ -744,8 +709,8 @@ void ExportMetrics(StepContext& c) {
     m.workers_added = c.eplan.workers_added;
     m.workers_drained = c.eplan.workers_drained;
     // Close the feedback loop: the monitor folds this step's realized
-    // per-worker load into the rolling signal the next step consults.
-    c.elastic->EndStep(m.worker_busy_seconds);
+    // load imbalance into the rolling signal the next step consults.
+    c.elastic->EndStep(m.load_imbalance);
   }
   if (c.options.metrics != nullptr) PublishRunMetrics(c, c.options.metrics);
 }

@@ -110,15 +110,8 @@ LoadMonitor::LoadMonitor(double threshold, uint32_t cooldown_steps,
       cooldown_steps_(cooldown_steps),
       smoothing_(smoothing) {}
 
-void LoadMonitor::Observe(const std::vector<double>& busy_seconds) {
-  if (busy_seconds.empty()) return;
-  double max = 0.0, sum = 0.0;
-  for (double s : busy_seconds) {
-    max = std::max(max, s);
-    sum += s;
-  }
-  const double avg = sum / static_cast<double>(busy_seconds.size());
-  last_ = avg > 0.0 ? max / avg : 1.0;
+void LoadMonitor::Observe(double imbalance) {
+  last_ = imbalance;
   signal_ = observed_ ? smoothing_ * signal_ + (1.0 - smoothing_) * last_
                       : last_;
   observed_ = true;
@@ -261,8 +254,8 @@ ElasticStepPlan ElasticCoordinator::BeginStep(const SparseTensor& delta,
   return plan;
 }
 
-void ElasticCoordinator::EndStep(const std::vector<double>& busy_seconds) {
-  monitor_.Observe(busy_seconds);
+void ElasticCoordinator::EndStep(double load_imbalance) {
+  monitor_.Observe(load_imbalance);
 }
 
 void ElasticCoordinator::PublishTo(obs::MetricRegistry* registry) const {

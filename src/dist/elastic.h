@@ -61,7 +61,7 @@ struct ElasticOptions {
   Status Validate() const;
 };
 
-/// Folds per-worker busy seconds into a rolling max/avg imbalance signal
+/// Folds each step's max/avg busy-seconds imbalance into a rolling signal
 /// and decides, under a threshold + cooldown policy, when the partition
 /// has decayed enough to recompute. All inputs derive from the simulated
 /// clock, so decisions are bit-identical across execution thread counts.
@@ -69,9 +69,9 @@ class LoadMonitor {
  public:
   LoadMonitor(double threshold, uint32_t cooldown_steps, double smoothing);
 
-  /// Feeds one finished step's per-worker busy seconds (cost-model terms
-  /// before the BSP max, summed over the step's supersteps).
-  void Observe(const std::vector<double>& busy_seconds);
+  /// Feeds one finished step's max/avg imbalance of the per-worker busy
+  /// seconds (DistributedRunMetrics::load_imbalance).
+  void Observe(double imbalance);
 
   /// max/avg of the last observation (1 when nothing observed yet).
   double last_imbalance() const { return last_; }
@@ -160,8 +160,9 @@ class ElasticCoordinator {
   /// order.
   ElasticStepPlan BeginStep(const SparseTensor& delta, uint64_t stream_step);
 
-  /// Feeds the finished step's per-worker busy seconds to the monitor.
-  void EndStep(const std::vector<double>& busy_seconds);
+  /// Feeds the finished step's load imbalance (max/avg busy seconds, as
+  /// DistributedRunMetrics::load_imbalance) to the monitor.
+  void EndStep(double load_imbalance);
 
   /// Publishes the coordinator's activity into the registry under
   /// `dismastd_elastic_*`. Counters receive only the activity since the

@@ -53,9 +53,9 @@ Result<IngestSessionResult> RunIngestSession(
   uint64_t fingerprint = kFnv1aOffset;
   uint64_t snapshot_nnz = 0;
   size_t step_index = 0;
-  // Accumulated snapshot entries, only maintained when scoring fit.
-  std::vector<uint64_t> all_indices;
-  std::vector<double> all_values;
+  // The accumulated snapshot (every batch's entries, in batch order), only
+  // maintained when scoring fit: it grows in place, batch by batch.
+  SparseTensor snapshot(std::vector<uint64_t>(order, 0));
 
   auto process_batch = [&](const MicroBatchDelta& batch) {
     const std::vector<uint8_t> bytes = SerializeBatch(batch);
@@ -72,14 +72,9 @@ Result<IngestSessionResult> RunIngestSession(
     snapshot_nnz += batch.delta.nnz();
     sm.snapshot_nnz = snapshot_nnz;
     if (options.compute_fit) {
+      snapshot.GrowDims(batch.new_dims);
       for (size_t e = 0; e < batch.delta.nnz(); ++e) {
-        const uint64_t* idx = batch.delta.IndexTuple(e);
-        all_indices.insert(all_indices.end(), idx, idx + order);
-        all_values.push_back(batch.delta.Value(e));
-      }
-      SparseTensor snapshot(batch.new_dims);
-      for (size_t e = 0; e < all_values.size(); ++e) {
-        snapshot.AddRaw(all_indices.data() + e * order, all_values[e]);
+        snapshot.AddRaw(batch.delta.IndexTuple(e), batch.delta.Value(e));
       }
       sm.fit = factors.Fit(snapshot);
     }

@@ -20,8 +20,9 @@ struct IngestSessionOptions : PumpOptions {
   /// Decomposition settings for every micro-batch step (tracer / metrics /
   /// checkpoint_dir attach here exactly as in RunStreamingExperiment).
   DistributedOptions decompose;
-  /// Score each batch's factors against the accumulated snapshot (rebuilds
-  /// the full tensor per batch — tool-scale only).
+  /// Score each batch's factors against the accumulated snapshot (kept as
+  /// one tensor that grows by each batch's entries; Fit still reads all of
+  /// it per batch).
   bool compute_fit = false;
 };
 

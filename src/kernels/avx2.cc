@@ -589,8 +589,10 @@ const KernelTable& Avx2Kernels() {
     t.mttkrp_coo = MttkrpCooAvx2;
     t.mttkrp_rows = MttkrpRowsAvx2;
     t.gram_update_rows = GramUpdateRowsAvx2;
-    t.row_times_matrix = RowTimesMatrixAvx2;
     t.cholesky_solve_rows = CholeskySolveRowsAvx2;
+    t.update_rows =
+        detail::UpdateRowsBlocked<8, RowTimesMatrixAvx2,
+                                  CholeskySolveRowsAvx2, GramUpdateRowsAvx2>;
     t.dot_strided = DotStridedAvx2;
     t.topk_score_block = TopKScoreBlockAvx2;
     t.f64_to_bf16 = F64ToBf16Plain;

@@ -291,20 +291,14 @@ void SignEncodeRowsAvx512(const double* planes_t, size_t dim, size_t bits,
   }
 }
 
-/// Solves rows [r0, r0 + width) (width <= 8 * kVecs) transposed into
-/// `lanes` (rank x 8 * kVecs): element i of every row is kVecs vectors, and
-/// lane l runs row l's forward/back substitution. kVecs independent chains
-/// hide the divider latency. Padded lanes are never written back.
+/// Solves the rows held transposed in `lanes` (rank x 8 * kVecs) in place:
+/// element i of every row is kVecs vectors, and lane l runs row l's
+/// forward/back substitution. kVecs independent chains hide the divider
+/// latency.
 template <size_t kVecs>
-inline void CholeskySolveBlockAvx512(const double* lower, size_t rank,
-                                     const double* rhs, size_t width,
-                                     double* out, double* lanes) {
+inline void CholeskySolveLanesAvx512(const double* lower, size_t rank,
+                                     double* lanes) {
   constexpr size_t kLanes = 8 * kVecs;
-  for (size_t i = 0; i < rank; ++i) {
-    for (size_t l = 0; l < kLanes; ++l) {
-      lanes[i * kLanes + l] = l < width ? rhs[l * rank + i] : 0.0;
-    }
-  }
   for (size_t i = 0; i < rank; ++i) {
     __m512d sum[kVecs];
     for (size_t v = 0; v < kVecs; ++v) {
@@ -343,6 +337,22 @@ inline void CholeskySolveBlockAvx512(const double* lower, size_t rank,
                        _mm512_div_pd(sum[v], pivot));
     }
   }
+}
+
+/// Solves rows [r0, r0 + width) (width <= 8 * kVecs) transposed into
+/// `lanes` (rank x 8 * kVecs). Padded lanes are zero and never written
+/// back.
+template <size_t kVecs>
+inline void CholeskySolveBlockAvx512(const double* lower, size_t rank,
+                                     const double* rhs, size_t width,
+                                     double* out, double* lanes) {
+  constexpr size_t kLanes = 8 * kVecs;
+  for (size_t i = 0; i < rank; ++i) {
+    for (size_t l = 0; l < kLanes; ++l) {
+      lanes[i * kLanes + l] = l < width ? rhs[l * rank + i] : 0.0;
+    }
+  }
+  CholeskySolveLanesAvx512<kVecs>(lower, rank, lanes);
   for (size_t l = 0; l < width; ++l) {
     for (size_t i = 0; i < rank; ++i) out[l * rank + i] = lanes[i * kLanes + l];
   }
@@ -570,6 +580,239 @@ DISMASTD_VPOPCNTDQ void HammingScanVpopcntdq(const uint64_t* codes,
 bool CpuHasVpopcntdq() { return __builtin_cpu_supports("avx512vpopcntdq"); }
 #endif  // DISMASTD_KERNELS_HAVE_VPOPCNTDQ
 
+/// Transposes the 8 x 8 block of doubles held as 8 row vectors in place:
+/// afterwards v[c] holds column c. Pure data movement, so exact.
+inline void Transpose8x8(__m512d v[8]) {
+  // Row pairs interleaved per 128-bit lane: t0 = r0c0 r1c0 | r0c2 r1c2 |
+  // r0c4 r1c4 | r0c6 r1c6, t1 the same for the odd columns.
+  const __m512d t0 = _mm512_unpacklo_pd(v[0], v[1]);
+  const __m512d t1 = _mm512_unpackhi_pd(v[0], v[1]);
+  const __m512d t2 = _mm512_unpacklo_pd(v[2], v[3]);
+  const __m512d t3 = _mm512_unpackhi_pd(v[2], v[3]);
+  const __m512d t4 = _mm512_unpacklo_pd(v[4], v[5]);
+  const __m512d t5 = _mm512_unpackhi_pd(v[4], v[5]);
+  const __m512d t6 = _mm512_unpacklo_pd(v[6], v[7]);
+  const __m512d t7 = _mm512_unpackhi_pd(v[6], v[7]);
+  // u0 = (r0,r1)c0 | (r0,r1)c4 | (r2,r3)c0 | (r2,r3)c4, and so on.
+  const __m512d u0 = _mm512_shuffle_f64x2(t0, t2, 0x88);
+  const __m512d u1 = _mm512_shuffle_f64x2(t1, t3, 0x88);
+  const __m512d u2 = _mm512_shuffle_f64x2(t0, t2, 0xDD);
+  const __m512d u3 = _mm512_shuffle_f64x2(t1, t3, 0xDD);
+  const __m512d u4 = _mm512_shuffle_f64x2(t4, t6, 0x88);
+  const __m512d u5 = _mm512_shuffle_f64x2(t5, t7, 0x88);
+  const __m512d u6 = _mm512_shuffle_f64x2(t4, t6, 0xDD);
+  const __m512d u7 = _mm512_shuffle_f64x2(t5, t7, 0xDD);
+  v[0] = _mm512_shuffle_f64x2(u0, u4, 0x88);
+  v[4] = _mm512_shuffle_f64x2(u0, u4, 0xDD);
+  v[1] = _mm512_shuffle_f64x2(u1, u5, 0x88);
+  v[5] = _mm512_shuffle_f64x2(u1, u5, 0xDD);
+  v[2] = _mm512_shuffle_f64x2(u2, u6, 0x88);
+  v[6] = _mm512_shuffle_f64x2(u2, u6, 0xDD);
+  v[3] = _mm512_shuffle_f64x2(u3, u7, 0x88);
+  v[7] = _mm512_shuffle_f64x2(u3, u7, 0xDD);
+}
+
+/// The fused row update keeps a row in two vectors, so it runs at ranks up
+/// to 16; larger ranks compose the kernels block by block.
+constexpr size_t kFusedMaxRank = 16;
+/// 8-row groups per block: independent chains through the solve.
+constexpr size_t kFusedGroups = 2;
+constexpr size_t kFusedBlock = 8 * kFusedGroups;
+
+/// Rows rows[0, count) (count <= 8) of the row-major `rank`-column m,
+/// transposed: column i of the 8-row group lands in lanes + i * kFusedBlock
+/// (lanes past count are zero).
+inline void GatherColumns(const double* m, const uint64_t* rows, size_t count,
+                          size_t rank, double* lanes) {
+  const __mmask8 lo = ColumnMask(0, rank);
+  const __mmask8 hi =
+      rank > 8 ? ColumnMask(8, rank) : static_cast<__mmask8>(0);
+  __m512d a[8], b[8];
+  for (size_t l = 0; l < 8; ++l) {
+    a[l] = _mm512_setzero_pd();
+    b[l] = _mm512_setzero_pd();
+    if (l < count) {
+      const double* row = m + rows[l] * rank;
+      a[l] = _mm512_maskz_loadu_pd(lo, row);
+      b[l] = _mm512_maskz_loadu_pd(hi, row + 8);
+    }
+  }
+  Transpose8x8(a);
+  for (size_t i = 0; i < 8 && i < rank; ++i) {
+    _mm512_storeu_pd(lanes + i * kFusedBlock, a[i]);
+  }
+  if (rank > 8) {
+    Transpose8x8(b);
+    for (size_t i = 8; i < rank; ++i) {
+      _mm512_storeu_pd(lanes + i * kFusedBlock, b[i - 8]);
+    }
+  }
+}
+
+/// The old rows' numerators of one 8-row group, in place over the group's
+/// transposed MTTKRP rows in `lanes`: lane l of column c becomes mu *
+/// d + mttkrp[r_l][c], where d is the blocked-8 dot of prev[r_l] with
+/// column c of had_h — partial k accumulates elements k, k + 8 in order and
+/// the partials combine in the contract's tree, as in BlockedDotColumns8
+/// (lane-parallel over rows here instead of over columns).
+inline void NumeratorColumns(const double* prev_lanes, const double* had_h,
+                             double mu, size_t rank, double* lanes) {
+  __m512d x[kFusedMaxRank];
+  for (size_t i = 0; i < kFusedMaxRank; ++i) {
+    x[i] = i < rank ? _mm512_loadu_pd(prev_lanes + i * kFusedBlock)
+                    : _mm512_setzero_pd();
+  }
+  const __m512d mu_v = _mm512_set1_pd(mu);
+  for (size_t c = 0; c < rank; ++c) {
+    __m512d p[8];
+    for (__m512d& lane : p) lane = _mm512_setzero_pd();
+    for (size_t i = 0; i < kFusedMaxRank; ++i) {
+      if (i < rank) {
+        p[i % 8] = _mm512_add_pd(
+            p[i % 8],
+            _mm512_mul_pd(x[i], _mm512_set1_pd(had_h[i * rank + c])));
+      }
+    }
+    const __m512d q0 = _mm512_add_pd(p[0], p[4]);
+    const __m512d q1 = _mm512_add_pd(p[1], p[5]);
+    const __m512d q2 = _mm512_add_pd(p[2], p[6]);
+    const __m512d q3 = _mm512_add_pd(p[3], p[7]);
+    const __m512d d =
+        _mm512_add_pd(_mm512_add_pd(q0, q2), _mm512_add_pd(q1, q3));
+    double* m = lanes + c * kFusedBlock;
+    _mm512_storeu_pd(m, _mm512_add_pd(_mm512_mul_pd(mu_v, d),
+                                      _mm512_loadu_pd(m)));
+  }
+}
+
+/// Writes the solved rows of one 8-row group (transposed in `lanes`) to
+/// factor[rows[l]] and adds them into the Gram partials: for each Gram row
+/// i, the rows' rank-1 terms z[i] * z (and prev[r][i] * z into `cross`,
+/// with the previous rows transposed in prev_lanes, or none when null) in
+/// row order, the accumulators held in registers across the group. kFull
+/// groups have all 8 rows, so the row loops unroll and the transposed rows
+/// stay in registers.
+template <bool kFull>
+__attribute__((always_inline)) inline void WriteBackAndGram(
+    const double* lanes, const double* prev_lanes, const uint64_t* rows,
+    size_t count, size_t rank, double* factor, double* gram, double* cross) {
+  const size_t n = kFull ? 8 : count;
+  const __mmask8 lo = ColumnMask(0, rank);
+  const __mmask8 hi =
+      rank > 8 ? ColumnMask(8, rank) : static_cast<__mmask8>(0);
+  __m512d a[8], b[8];
+  for (size_t i = 0; i < 8; ++i) {
+    a[i] = i < rank ? _mm512_loadu_pd(lanes + i * kFusedBlock)
+                    : _mm512_setzero_pd();
+    b[i] = i + 8 < rank ? _mm512_loadu_pd(lanes + (i + 8) * kFusedBlock)
+                        : _mm512_setzero_pd();
+  }
+  Transpose8x8(a);
+  if (rank > 8) Transpose8x8(b);
+  for (size_t l = 0; l < n; ++l) {
+    double* row = factor + rows[l] * rank;
+    _mm512_mask_storeu_pd(row, lo, a[l]);
+    _mm512_mask_storeu_pd(row + 8, hi, b[l]);
+  }
+  for (size_t i = 0; i < rank; ++i) {
+    double* g = gram + i * rank;
+    __m512d g0 = _mm512_maskz_loadu_pd(lo, g);
+    __m512d g1 = _mm512_maskz_loadu_pd(hi, g + 8);
+    for (size_t l = 0; l < n; ++l) {
+      const __m512d zi = _mm512_set1_pd(lanes[i * kFusedBlock + l]);
+      g0 = _mm512_add_pd(g0, _mm512_mul_pd(zi, a[l]));
+      g1 = _mm512_add_pd(g1, _mm512_mul_pd(zi, b[l]));
+    }
+    _mm512_mask_storeu_pd(g, lo, g0);
+    _mm512_mask_storeu_pd(g + 8, hi, g1);
+    if (prev_lanes == nullptr) continue;
+    double* h = cross + i * rank;
+    __m512d h0 = _mm512_maskz_loadu_pd(lo, h);
+    __m512d h1 = _mm512_maskz_loadu_pd(hi, h + 8);
+    for (size_t l = 0; l < n; ++l) {
+      const __m512d pi = _mm512_set1_pd(prev_lanes[i * kFusedBlock + l]);
+      h0 = _mm512_add_pd(h0, _mm512_mul_pd(pi, a[l]));
+      h1 = _mm512_add_pd(h1, _mm512_mul_pd(pi, b[l]));
+    }
+    _mm512_mask_storeu_pd(h, lo, h0);
+    _mm512_mask_storeu_pd(h + 8, hi, h1);
+  }
+}
+
+/// update_rows at rank <= 16, one pass over blocks of 16 rows: each 8-row
+/// group's MTTKRP (and previous) rows are loaded once and transposed in
+/// registers, the numerators are formed lane-parallel over rows, both
+/// groups are solved together in the transposed block, and the solved rows
+/// are transposed back, written to the factor and added into the Gram
+/// partials while still in registers. Each lane runs the scalar
+/// reference's operation sequence, so the bits are the composition's.
+void UpdateRowsFusedAvx512(const uint64_t* rows, size_t num_rows, size_t rank,
+                           const double* prev, const double* had_h, double mu,
+                           const double* mttkrp, const double* lower,
+                           double* factor, double* gram, double* cross) {
+  alignas(64) double lanes[kFusedMaxRank * kFusedBlock];
+  alignas(64) double prev_lanes[kFusedMaxRank * kFusedBlock];
+  for (size_t j0 = 0; j0 < num_rows; j0 += kFusedBlock) {
+    const size_t width = std::min(kFusedBlock, num_rows - j0);
+    const size_t ahead_end = std::min(num_rows, j0 + 2 * kFusedBlock);
+    for (size_t j = j0 + kFusedBlock; j < ahead_end; ++j) {
+      const size_t offset = rows[j] * rank;
+      if (lower != nullptr) detail::PrefetchRow(mttkrp + offset, rank, false);
+      if (prev != nullptr) detail::PrefetchRow(prev + offset, rank, false);
+      detail::PrefetchRow(factor + offset, rank, true);
+    }
+    for (size_t g = 0; prev != nullptr && g * 8 < width; ++g) {
+      GatherColumns(prev, rows + j0 + 8 * g, std::min<size_t>(8, width - 8 * g),
+                    rank, prev_lanes + 8 * g);
+    }
+    if (lower == nullptr) {
+      std::fill(lanes, lanes + rank * kFusedBlock, 0.0);
+    } else {
+      for (size_t g = 0; g * 8 < width; ++g) {
+        GatherColumns(mttkrp, rows + j0 + 8 * g,
+                      std::min<size_t>(8, width - 8 * g), rank, lanes + 8 * g);
+        if (prev != nullptr) {
+          NumeratorColumns(prev_lanes + 8 * g, had_h, mu, rank,
+                           lanes + 8 * g);
+        }
+      }
+      if (width <= 8) {
+        // Clear the second group so its lanes solve harmlessly.
+        for (size_t i = 0; i < rank; ++i) {
+          _mm512_storeu_pd(lanes + i * kFusedBlock + 8, _mm512_setzero_pd());
+        }
+      }
+      CholeskySolveLanesAvx512<kFusedGroups>(lower, rank, lanes);
+    }
+    for (size_t g = 0; g * 8 < width; ++g) {
+      const size_t count = std::min<size_t>(8, width - 8 * g);
+      const double* group_prev = prev != nullptr ? prev_lanes + 8 * g : nullptr;
+      if (count == 8) {
+        WriteBackAndGram<true>(lanes + 8 * g, group_prev, rows + j0 + 8 * g, 8,
+                               rank, factor, gram, cross);
+      } else {
+        WriteBackAndGram<false>(lanes + 8 * g, group_prev, rows + j0 + 8 * g,
+                                count, rank, factor, gram, cross);
+      }
+    }
+  }
+}
+
+void UpdateRowsAvx512(const uint64_t* rows, size_t num_rows, size_t rank,
+                      const double* prev, const double* had_h, double mu,
+                      const double* mttkrp, const double* lower,
+                      double* factor, double* gram, double* cross) {
+  if (rank <= kFusedMaxRank) {
+    UpdateRowsFusedAvx512(rows, num_rows, rank, prev, had_h, mu, mttkrp,
+                          lower, factor, gram, cross);
+    return;
+  }
+  detail::UpdateRowsBlocked<16, RowTimesMatrixAvx512, CholeskySolveRowsAvx512,
+                            GramUpdateRowsAvx512>(
+      rows, num_rows, rank, prev, had_h, mu, mttkrp, lower, factor, gram,
+      cross);
+}
+
 }  // namespace
 
 const KernelTable& Avx512Kernels() {
@@ -580,8 +823,8 @@ const KernelTable& Avx512Kernels() {
     t.mttkrp_coo = MttkrpCooAvx512;
     t.mttkrp_rows = MttkrpRowsAvx512;
     t.gram_update_rows = GramUpdateRowsAvx512;
-    t.row_times_matrix = RowTimesMatrixAvx512;
     t.cholesky_solve_rows = CholeskySolveRowsAvx512;
+    t.update_rows = UpdateRowsAvx512;
     t.dot_strided = DotStridedAvx512;
     t.topk_score_block = TopKScoreBlockAvx512;
     t.f64_to_bf16 = F64ToBf16Plain;

@@ -37,8 +37,8 @@ Result<Backend> ParseBackend(const std::string& text);
 /// mttkrp_rows, hadamard_combine, gram_update_rows, cholesky_solve_rows)
 /// perform the same scalar operations in the same order in every backend,
 /// lane-parallel over independent outputs, so they are bit-exact across
-/// backends by construction. Reductions (dot_strided,
-/// row_times_matrix, sign_encode_rows, topk_score_block) share a fixed
+/// backends by construction. Reductions (dot_strided, update_rows'
+/// numerator, sign_encode_rows, topk_score_block) share a fixed
 /// blocking: 8 independent partial sums, lane l accumulating elements l,
 /// l+8, l+16, ... with the tail element i folded into lane i mod 8, combined as
 /// ((p0+p4)+(p2+p6)) + ((p1+p5)+(p3+p7)) — exactly the tree an 8-lane
@@ -92,12 +92,6 @@ struct KernelTable {
                            const uint64_t* rows, size_t num_rows, size_t rank,
                            double* out);
 
-  /// out[c] = dot_strided(x, 1, m + c, rank, rank) for c in [0, rank): the
-  /// row vector x times the rank x rank row-major matrix m, every column
-  /// reduced under the blocked-8 contract (lane-parallel over columns).
-  void (*row_times_matrix)(const double* x, const double* m, size_t rank,
-                           double* out);
-
   /// Solves z · L Lᵀ = b for each of the num_rows rows b of the row-major
   /// `rhs` (rank columns), writing z to `out` (which may alias rhs): forward
   /// substitution L y = b, then back substitution Lᵀ z = y, with true
@@ -107,6 +101,26 @@ struct KernelTable {
   void (*cholesky_solve_rows)(const double* lower, size_t rank,
                               const double* rhs, size_t num_rows,
                               double* out);
+
+  /// The Eq. 5 row update of one part, fused into one pass over its rows.
+  /// For j in [0, num_rows) in order, with r = rows[j] (distinct rows of
+  /// the row-major, `rank`-column matrices prev, mttkrp and factor):
+  ///   - numerator b: with prev (old rows), b[c] = mu * d[c] + mttkrp[r][c]
+  ///     where d[c] = dot_strided(prev[r], 1, had_h + c, rank, rank) under
+  ///     the blocked-8 contract, one mul then one add; without prev (new
+  ///     rows, had_h and mu unused), b = mttkrp[r];
+  ///   - z = b · (L Lᵀ)⁻¹ by cholesky_solve_rows' operation sequence, or
+  ///     z = 0 when `lower` is null (the zero-update fallback);
+  ///   - factor[r] = z;
+  ///   - gram[i*rank + k] += z[i] * z[k], and with prev cross[i*rank + k]
+  ///     += prev[r][i] * z[k]: gram_update_rows' additions, in row order.
+  /// So the result is bit-identical to forming every numerator, solving
+  /// them with cholesky_solve_rows, scattering z and two gram_update_rows
+  /// calls, while each scattered row is fetched from memory once.
+  void (*update_rows)(const uint64_t* rows, size_t num_rows, size_t rank,
+                      const double* prev, const double* had_h, double mu,
+                      const double* mttkrp, const double* lower,
+                      double* factor, double* gram, double* cross);
 
   /// Strided dot product sum_i x[i*incx] * y[i*incy] under the blocked-8
   /// reduction contract. incx/incy may be 0 (broadcast) or any stride.
@@ -161,7 +175,7 @@ struct KernelTable {
   /// zero) is set iff dot_strided(rows + j*dim, 1, planes_t + b, bits, dim)
   /// >= 0, where planes_t is the dim x bits row-major (transposed) plane
   /// matrix. Lane-parallel over planes under the blocked-8 contract, like
-  /// row_times_matrix, so each bit equals the per-plane dot's sign on
+  /// update_rows' numerator, so each bit equals the per-plane dot's sign on
   /// every backend.
   void (*sign_encode_rows)(const double* planes_t, size_t dim, size_t bits,
                            const double* rows, size_t num_rows,

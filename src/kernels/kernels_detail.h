@@ -8,6 +8,7 @@
 // backend translation units are compiled with -ffp-contract=off so that
 // these helpers round identically everywhere.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -140,6 +141,81 @@ inline void CholeskySolveRowsScalar(const double* lower, size_t rank,
       std::memcpy(z, rhs + r * rank, rank * sizeof(double));
     }
     CholeskySolveRowScalar(lower, rank, z);
+  }
+}
+
+/// Hints the cache to load the `rank` doubles at `row` (its first and last
+/// element), for writing when `write`.
+inline void PrefetchRow(const double* row, size_t rank, bool write) {
+  if (write) {
+    __builtin_prefetch(row, 1);
+    __builtin_prefetch(row + rank - 1, 1);
+  } else {
+    __builtin_prefetch(row);
+    __builtin_prefetch(row + rank - 1);
+  }
+}
+
+/// KernelTable::update_rows over blocks of kBlock rows, composed from one
+/// backend's numerator (kRowTimesMatrix: out[c] = the blocked-8 dot of x
+/// with column c of m), solve (kSolveRows: cholesky_solve_rows) and Gram
+/// (kGramRows: gram_update_rows) code, passed as template arguments so
+/// each backend's translation unit compiles its own copy. A block's
+/// numerators are formed in a stack buffer and solved in place there; the
+/// solved rows are written to the factor, and the Gram partials read them
+/// (and the old rows' previous rows) back while they are still in L1. The
+/// next block's scattered rows are prefetched meanwhile. Each piece runs
+/// the composed kernel's own operation sequence on the same rows in the
+/// same order, so the bits are those of the composition.
+template <size_t kBlock, auto kRowTimesMatrix, auto kSolveRows,
+          auto kGramRows>
+void UpdateRowsBlocked(const uint64_t* rows, size_t num_rows, size_t rank,
+                       const double* prev, const double* had_h, double mu,
+                       const double* mttkrp, const double* lower,
+                       double* factor, double* gram, double* cross) {
+  // Up to kStackRank the block lives on the stack; larger ranks borrow a
+  // heap buffer and run the same code.
+  constexpr size_t kStackRank = 64;
+  alignas(64) double stack_block[kBlock * kStackRank];
+  std::vector<double> heap_block;
+  double* block = stack_block;
+  if (rank > kStackRank) {
+    heap_block.resize(kBlock * rank);
+    block = heap_block.data();
+  }
+  for (size_t j0 = 0; j0 < num_rows; j0 += kBlock) {
+    const size_t width = std::min(kBlock, num_rows - j0);
+    const uint64_t* block_rows = rows + j0;
+    const size_t ahead_end = std::min(num_rows, j0 + 2 * kBlock);
+    for (size_t j = j0 + kBlock; j < ahead_end; ++j) {
+      const size_t offset = rows[j] * rank;
+      if (lower != nullptr) PrefetchRow(mttkrp + offset, rank, false);
+      if (prev != nullptr) PrefetchRow(prev + offset, rank, false);
+      PrefetchRow(factor + offset, rank, true);
+    }
+    if (lower == nullptr) {
+      std::fill(block, block + width * rank, 0.0);
+    } else {
+      for (size_t l = 0; l < width; ++l) {
+        double* b = block + l * rank;
+        const double* m = mttkrp + block_rows[l] * rank;
+        if (prev != nullptr) {
+          kRowTimesMatrix(prev + block_rows[l] * rank, had_h, rank, b);
+          for (size_t c = 0; c < rank; ++c) b[c] = mu * b[c] + m[c];
+        } else {
+          std::memcpy(b, m, rank * sizeof(double));
+        }
+      }
+      kSolveRows(lower, rank, block, width, block);
+    }
+    for (size_t l = 0; l < width; ++l) {
+      std::memcpy(factor + block_rows[l] * rank, block + l * rank,
+                  rank * sizeof(double));
+    }
+    kGramRows(factor, factor, block_rows, width, rank, gram);
+    if (prev != nullptr) {
+      kGramRows(prev, factor, block_rows, width, rank, cross);
+    }
   }
 }
 

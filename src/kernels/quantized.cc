@@ -26,6 +26,20 @@ Bf16Matrix QuantizeBf16(const Matrix& source) {
   return q;
 }
 
+namespace {
+
+/// Rounds x to the nearest integer, ties to even, for |x| < 2^51: adding
+/// and subtracting 1.5 * 2^52 leaves no fraction bits, so the FPU's
+/// round-to-nearest-even does the rounding. Equals std::nearbyint there
+/// (a -0.5 < x < 0 input gives +0.0 instead of -0.0; both cast to code 0),
+/// and inlines where nearbyint is a libm call.
+inline double RoundHalfEven(double x) {
+  constexpr double kShift = 6755399441055744.0;  // 1.5 * 2^52
+  return (x + kShift) - kShift;
+}
+
+}  // namespace
+
 Int8Matrix QuantizeInt8(const Matrix& source) {
   Int8Matrix q;
   q.rows = source.rows();
@@ -34,13 +48,17 @@ Int8Matrix QuantizeInt8(const Matrix& source) {
   q.col_scale.assign(q.cols, 0.0);
   q.col_max_abs_err.assign(q.cols, 0.0);
   if (q.data.empty()) return q;
-  for (size_t c = 0; c < q.cols; ++c) {
-    double max_abs = 0.0;
-    for (size_t r = 0; r < q.rows; ++r) {
-      const double a = std::abs(source(r, c));
-      if (a > max_abs) max_abs = a;
+  // Column maxima in one row-major pass, held in col_scale until they
+  // become scales; the max does not depend on the order it is taken in.
+  for (size_t r = 0; r < q.rows; ++r) {
+    const double* src = source.RowPtr(r);
+    for (size_t c = 0; c < q.cols; ++c) {
+      const double a = std::abs(src[c]);
+      if (a > q.col_scale[c]) q.col_scale[c] = a;
     }
-    q.col_scale[c] = max_abs > 0.0 ? max_abs / 127.0 : 0.0;
+  }
+  for (double& scale : q.col_scale) {
+    scale = scale > 0.0 ? scale / 127.0 : 0.0;
   }
   for (size_t r = 0; r < q.rows; ++r) {
     const double* src = source.RowPtr(r);
@@ -49,7 +67,8 @@ Int8Matrix QuantizeInt8(const Matrix& source) {
       const double scale = q.col_scale[c];
       double code = 0.0;
       if (scale > 0.0) {
-        code = std::nearbyint(src[c] / scale);
+        // |src / scale| <= 127 (up to rounding), far inside the exact range.
+        code = RoundHalfEven(src[c] / scale);
         if (code > 127.0) code = 127.0;
         if (code < -127.0) code = -127.0;
       }

@@ -48,8 +48,11 @@ const KernelTable& ScalarKernels() {
     t.mttkrp_coo = detail::MttkrpCooScalar;
     t.mttkrp_rows = detail::MttkrpRowsScalar;
     t.gram_update_rows = detail::GramUpdateRowsScalar;
-    t.row_times_matrix = detail::RowTimesMatrixScalar;
     t.cholesky_solve_rows = detail::CholeskySolveRowsScalar;
+    t.update_rows =
+        detail::UpdateRowsBlocked<16, detail::RowTimesMatrixScalar,
+                                  detail::CholeskySolveRowsScalar,
+                                  detail::GramUpdateRowsScalar>;
     t.dot_strided = detail::DotBlocked;
     t.topk_score_block = TopKScoreBlockScalar;
     t.f64_to_bf16 = F64ToBf16Scalar;

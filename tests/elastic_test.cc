@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -163,18 +164,18 @@ TEST(LoadMonitorTest, TriggersAboveThresholdAfterCooldown) {
                       /*smoothing=*/0.0);
   // Nothing observed yet: never triggers.
   EXPECT_FALSE(monitor.ShouldRebalance(0));
-  monitor.Observe({1.0, 1.0, 1.0, 1.0});
+  monitor.Observe(1.0);
   EXPECT_DOUBLE_EQ(monitor.last_imbalance(), 1.0);
   EXPECT_FALSE(monitor.ShouldRebalance(1));
-  // 5/2 = 2.5x max/avg: above the 1.5 threshold.
-  monitor.Observe({5.0, 1.0, 1.0, 1.0});
+  // 2.5x max/avg: above the 1.5 threshold.
+  monitor.Observe(2.5);
   EXPECT_DOUBLE_EQ(monitor.last_imbalance(), 2.5);
   EXPECT_TRUE(monitor.ShouldRebalance(2));
 
   monitor.NoteRebalance(2);
   // The signal is reset: stale pre-rebalance imbalance cannot re-trigger.
   EXPECT_FALSE(monitor.ShouldRebalance(3));
-  monitor.Observe({5.0, 1.0, 1.0, 1.0});
+  monitor.Observe(2.5);
   // Above threshold again, but inside the 2-step cooldown window.
   EXPECT_FALSE(monitor.ShouldRebalance(3));
   EXPECT_TRUE(monitor.ShouldRebalance(4));
@@ -183,11 +184,11 @@ TEST(LoadMonitorTest, TriggersAboveThresholdAfterCooldown) {
 TEST(LoadMonitorTest, SmoothingDampsOneStepSpikes) {
   LoadMonitor monitor(/*threshold=*/1.5, /*cooldown_steps=*/0,
                       /*smoothing=*/0.5);
-  monitor.Observe({1.0, 1.0});
-  monitor.Observe({4.0, 0.0});  // last = 2.0, signal = 0.5*1 + 0.5*2 = 1.5
+  monitor.Observe(1.0);
+  monitor.Observe(2.0);  // signal = 0.5*1 + 0.5*2 = 1.5
   EXPECT_DOUBLE_EQ(monitor.signal(), 1.5);
   EXPECT_FALSE(monitor.ShouldRebalance(1));  // not strictly above
-  monitor.Observe({4.0, 0.0});  // signal = 0.5*1.5 + 0.5*2 = 1.75
+  monitor.Observe(2.0);  // signal = 0.5*1.5 + 0.5*2 = 1.75
   EXPECT_DOUBLE_EQ(monitor.signal(), 1.75);
   EXPECT_TRUE(monitor.ShouldRebalance(2));
 }
@@ -223,7 +224,7 @@ TEST(ElasticCoordinatorTest, RepartitionsWhenObservedImbalanceExceeds) {
   ElasticCoordinator coordinator(eopts, PartitionerKind::kMaxMin,
                                  /*initial_workers=*/4);
   coordinator.BeginStep(delta, 0);
-  coordinator.EndStep({4.0, 1.0, 1.0, 1.0});  // 4/1.75 ~ 2.3x
+  coordinator.EndStep(4.0 / 1.75);  // busy {4, 1, 1, 1}: ~2.3x
   const ElasticStepPlan plan = coordinator.BeginStep(delta, 1);
   EXPECT_TRUE(plan.repartition);
   EXPECT_EQ(coordinator.totals().repartitions, 1u);
@@ -235,7 +236,7 @@ TEST(ElasticCoordinatorTest, RepartitionsWhenObservedImbalanceExceeds) {
               delta.dims()[n]);
   }
   // Balanced steps keep the partition stable.
-  coordinator.EndStep({1.0, 1.0, 1.0, 1.0});
+  coordinator.EndStep(1.0);
   EXPECT_FALSE(coordinator.BeginStep(delta, 2).repartition);
 }
 
@@ -335,6 +336,33 @@ std::vector<double> PartitionSpanSeconds(const std::string& json) {
     }
   }
   return seconds;
+}
+
+TEST(ElasticStreamingTest, MonitorObservesEachStepsReportedImbalance) {
+  // The monitor acts on exactly the imbalance the step reports: after each
+  // step, its last observation is that step's load_imbalance, bit for bit.
+  const StreamingTensorSequence stream = MakeStream(4);
+  DistributedOptions options = BaseOpts();
+  ElasticOptions eopts;
+  // Any measurable imbalance triggers, so repartition steps (which reset
+  // the monitor) are covered too.
+  eopts.imbalance_threshold = 1.0;
+  eopts.cooldown_steps = 1;
+  ElasticCoordinator coordinator(eopts, options.partitioner,
+                                 options.num_workers);
+  options.elastic = &coordinator;
+  size_t steps = 0;
+  RunStreamingExperiment(
+      stream, MethodKind::kDisMastd, options, /*compute_fit=*/false,
+      [&](const StreamStepMetrics& sm, const KruskalTensor&) {
+        const double last = coordinator.monitor().last_imbalance();
+        EXPECT_EQ(std::memcmp(&last, &sm.load_imbalance, sizeof(double)), 0)
+            << "step " << sm.step << ": " << last << " vs "
+            << sm.load_imbalance;
+        ++steps;
+      });
+  EXPECT_EQ(steps, stream.num_steps());
+  EXPECT_GT(coordinator.totals().repartitions, 0u);
 }
 
 TEST(ElasticStreamingTest, PartitionTimeExcludesRepartitionAndMigrate) {

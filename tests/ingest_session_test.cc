@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "stream/generator.h"
@@ -177,6 +178,69 @@ TEST(IngestSessionTest, CountTriggerSplitsStreamIntoMicroBatches) {
   for (size_t b = 0; b + 1 < r.close_reasons.size(); ++b) {
     EXPECT_EQ(r.close_reasons[b], BatchCloseReason::kEventCount);
   }
+}
+
+TEST(IngestSessionTest, FitMatchesFromScratchSnapshotRebuildAtEveryStep) {
+  // The session scores each batch against its growing snapshot; the
+  // reference rebuilds the snapshot from scratch per batch (every batch's
+  // entries so far, in batch order, into a tensor of the batch's dims) and
+  // scores the same published factors. Count closes between the barriers
+  // make batches that grow the dims mid-step.
+  const StreamingTensorSequence stream = MakeStream(17);
+  const EventLogWriter log = ExportSequenceAsEvents(stream, {});
+  Result<EventLogReader> reader = EventLogReader::FromBytes(log.ToBytes());
+  ASSERT_TRUE(reader.ok());
+
+  IngestSessionOptions session;
+  session.decompose = SmallOptions();
+  session.builder.max_batch_events = 150;
+  session.compute_fit = true;
+  std::vector<KruskalTensor> published;
+  Result<IngestSessionResult> result = RunIngestSession(
+      reader.value(), session,
+      [&](const StreamStepMetrics&, const KruskalTensor& factors) {
+        published.push_back(factors);
+      });
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  const IngestSessionResult& r = result.value();
+
+  // The pump hands the builder every first-seen event and barrier in log
+  // order, so replaying the records straight into a builder reproduces the
+  // batch sequence.
+  DeltaBuilder builder(log.order(), session.builder);
+  std::vector<MicroBatchDelta> batches;
+  for (const EventRecord& record : log.records()) {
+    if (record.kind == RecordKind::kBarrier) {
+      builder.PushBarrier(record.ts, record.fields, &batches);
+    } else {
+      builder.PushEvent(record.ts, record.fields.data(), record.value,
+                        &batches);
+    }
+  }
+  builder.Flush(&batches);
+  ASSERT_EQ(batches.size(), r.steps.size());
+  ASSERT_EQ(published.size(), r.steps.size());
+  size_t count_closes = 0;
+  std::vector<uint64_t> indices;
+  std::vector<double> values;
+  for (size_t t = 0; t < batches.size(); ++t) {
+    const SparseTensor& delta = batches[t].delta;
+    for (size_t e = 0; e < delta.nnz(); ++e) {
+      indices.insert(indices.end(), delta.IndexTuple(e),
+                     delta.IndexTuple(e) + delta.order());
+      values.push_back(delta.Value(e));
+    }
+    SparseTensor rebuilt(batches[t].new_dims);
+    for (size_t e = 0; e < values.size(); ++e) {
+      rebuilt.AddRaw(indices.data() + e * delta.order(), values[e]);
+    }
+    const double want = published[t].Fit(rebuilt);
+    EXPECT_EQ(std::memcmp(&want, &r.steps[t].fit, sizeof(double)), 0)
+        << "step " << t << ": " << r.steps[t].fit << " vs " << want;
+    EXPECT_EQ(r.steps[t].snapshot_nnz, values.size()) << "step " << t;
+    if (r.close_reasons[t] == BatchCloseReason::kEventCount) ++count_closes;
+  }
+  EXPECT_GT(count_closes, 0u);
 }
 
 TEST(IngestSessionTest, LatencyHistogramCoversEveryAcceptedEvent) {

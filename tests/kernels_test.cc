@@ -11,6 +11,7 @@
 #include <cstring>
 #include <iterator>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -432,22 +433,152 @@ TEST(KernelsBatchedTest, GramUpdateRowsMatchesPerRowReference) {
   }
 }
 
-TEST(KernelsBatchedTest, RowTimesMatrixMatchesPerColumnDotStrided) {
+/// A random symmetric positive-definite rank x rank matrix: BᵀB of a
+/// (rank + 3)-row random B plus 0.5 on the diagonal.
+Matrix RandomSpdGram(size_t rank, Rng& rng) {
+  const Matrix basis = Matrix::Random(rank + 3, rank, rng);
+  Matrix gram(rank, rank);
+  for (size_t i = 0; i < rank; ++i) {
+    for (size_t j = 0; j < rank; ++j) {
+      double sum = 0.0;
+      for (size_t r = 0; r < basis.rows(); ++r) {
+        sum += basis(r, i) * basis(r, j);
+      }
+      gram(i, j) = sum + (i == j ? 0.5 : 0.0);
+    }
+  }
+  return gram;
+}
+
+// update_rows' numerator alone: with mu = 1, a zero MTTKRP row and the
+// identity as Cholesky factor, the solved row is the numerator itself,
+// which must be the per-column blocked-8 dot (plus +0.0) exactly.
+TEST(KernelsBatchedTest, UpdateRowsNumeratorMatchesPerColumnDotStrided) {
   Rng rng(13);
   for (size_t rank : kBatchRanks) {
+    const Matrix identity = Matrix::Identity(rank);
+    const std::vector<double> zero_row(rank, 0.0);
+    const uint64_t row = 0;
     for (int trial = 0; trial < 5; ++trial) {
       const std::vector<double> x = RandomVector(rank, rng);
       const std::vector<double> m = RandomVector(rank * rank, rng);
       std::vector<double> want(rank);
       for (size_t c = 0; c < rank; ++c) {
-        want[c] = Get(Backend::kScalar)
-                      .dot_strided(x.data(), 1, m.data() + c, rank, rank);
+        want[c] = 1.0 * Get(Backend::kScalar)
+                            .dot_strided(x.data(), 1, m.data() + c, rank,
+                                         rank) +
+                  0.0;
       }
       for (Backend backend : SupportedBackends()) {
         std::vector<double> got(rank);
-        Get(backend).row_times_matrix(x.data(), m.data(), rank, got.data());
+        std::vector<double> gram(rank * rank), cross(rank * rank);
+        Get(backend).update_rows(&row, 1, rank, x.data(), m.data(), 1.0,
+                                 zero_row.data(), identity.data(),
+                                 got.data(), gram.data(), cross.data());
         EXPECT_TRUE(SameBits(want, got))
             << BackendName(backend) << " rank=" << rank;
+      }
+    }
+  }
+}
+
+/// num_rows distinct rows of a table of `table_rows`, in random order.
+std::vector<uint64_t> ScatteredRows(size_t num_rows, size_t table_rows,
+                                    Rng& rng) {
+  std::vector<uint64_t> all(table_rows);
+  std::iota(all.begin(), all.end(), uint64_t{0});
+  for (size_t i = table_rows; i > 1; --i) {
+    std::swap(all[i - 1], all[rng.NextBounded(i)]);
+  }
+  all.resize(num_rows);
+  return all;
+}
+
+// The fused row update against the composition it replaces, run on the
+// same backend: the blocked-8 numerator (per-column dot_strided, which the
+// numerator test above ties to update_rows), one mul and one add, one
+// cholesky_solve_rows call over all rows, the scatter into the factor,
+// then gram_update_rows for the Gram and the cross-Gram. Old rows (with
+// the previous factor) and new rows, a real solve and the zero fallback,
+// partials that start non-zero, row counts around the 8- and 16-row
+// blocks, and factor rows outside the set left untouched.
+TEST(KernelsBatchedTest, UpdateRowsMatchesComposedKernels) {
+  Rng rng(15);
+  for (size_t rank : kBatchRanks) {
+    Matrix lower;
+    ASSERT_TRUE(CholeskyFactor(RandomSpdGram(rank, rng), &lower).ok());
+    const std::vector<double> had_h = RandomVector(rank * rank, rng);
+    const double mu = 0.37;
+    for (size_t num_rows : {0u, 1u, 15u, 16u, 17u, 1001u}) {
+      const size_t table_rows = 2 * num_rows + 3;
+      const std::vector<uint64_t> rows =
+          ScatteredRows(num_rows, table_rows, rng);
+      const std::vector<double> prev = RandomVector(table_rows * rank, rng);
+      const std::vector<double> mttkrp = RandomVector(table_rows * rank, rng);
+      const std::vector<double> factor0 = RandomVector(table_rows * rank, rng);
+      const std::vector<double> gram0 = RandomVector(rank * rank, rng);
+      const std::vector<double> cross0 = RandomVector(rank * rank, rng);
+      for (bool old_rows : {true, false}) {
+        for (bool zero : {false, true}) {
+          for (Backend backend : SupportedBackends()) {
+            const KernelTable& kern = Get(backend);
+            // The composition.
+            std::vector<double> rhs(num_rows * rank);
+            for (size_t j = 0; j < num_rows; ++j) {
+              const size_t r = rows[j];
+              for (size_t c = 0; c < rank; ++c) {
+                double b = mttkrp[r * rank + c];
+                if (old_rows) {
+                  b = mu * kern.dot_strided(prev.data() + r * rank, 1,
+                                            had_h.data() + c, rank, rank) +
+                      b;
+                }
+                rhs[j * rank + c] = b;
+              }
+            }
+            if (zero) {
+              std::fill(rhs.begin(), rhs.end(), 0.0);
+            } else {
+              kern.cholesky_solve_rows(lower.data(), rank, rhs.data(),
+                                       num_rows, rhs.data());
+            }
+            std::vector<double> want_factor = factor0;
+            for (size_t j = 0; j < num_rows; ++j) {
+              std::copy(rhs.begin() + j * rank, rhs.begin() + (j + 1) * rank,
+                        want_factor.begin() + rows[j] * rank);
+            }
+            std::vector<double> want_gram = gram0;
+            std::vector<double> want_cross = cross0;
+            kern.gram_update_rows(want_factor.data(), want_factor.data(),
+                                  rows.data(), num_rows, rank,
+                                  want_gram.data());
+            if (old_rows) {
+              kern.gram_update_rows(prev.data(), want_factor.data(),
+                                    rows.data(), num_rows, rank,
+                                    want_cross.data());
+            }
+            // The fused kernel.
+            std::vector<double> got_factor = factor0;
+            std::vector<double> got_gram = gram0;
+            std::vector<double> got_cross = cross0;
+            kern.update_rows(rows.data(), num_rows, rank,
+                             old_rows ? prev.data() : nullptr,
+                             old_rows ? had_h.data() : nullptr,
+                             old_rows ? mu : 0.0, mttkrp.data(),
+                             zero ? nullptr : lower.data(),
+                             got_factor.data(), got_gram.data(),
+                             old_rows ? got_cross.data() : nullptr);
+            const auto where = [&] {
+              return std::string(BackendName(backend)) +
+                     " rank=" + std::to_string(rank) +
+                     " rows=" + std::to_string(num_rows) +
+                     (old_rows ? " old" : " new") + (zero ? " zero" : "");
+            };
+            EXPECT_TRUE(SameBits(want_factor, got_factor)) << where();
+            EXPECT_TRUE(SameBits(want_gram, got_gram)) << where();
+            EXPECT_TRUE(SameBits(want_cross, got_cross)) << where();
+          }
+        }
       }
     }
   }
@@ -482,19 +613,8 @@ TEST(KernelsBatchedTest, CholeskySolveRowsMatchesPerRowLoop) {
   std::vector<size_t> ranks(std::begin(kBatchRanks), std::end(kBatchRanks));
   ranks.push_back(70);
   for (size_t rank : ranks) {
-    const Matrix basis = Matrix::Random(rank + 3, rank, rng);
-    Matrix gram(rank, rank);
-    for (size_t i = 0; i < rank; ++i) {
-      for (size_t j = 0; j < rank; ++j) {
-        double sum = 0.0;
-        for (size_t r = 0; r < basis.rows(); ++r) {
-          sum += basis(r, i) * basis(r, j);
-        }
-        gram(i, j) = sum + (i == j ? 0.5 : 0.0);
-      }
-    }
     Matrix lower_m;
-    ASSERT_TRUE(CholeskyFactor(gram, &lower_m).ok());
+    ASSERT_TRUE(CholeskyFactor(RandomSpdGram(rank, rng), &lower_m).ok());
     const std::vector<double> lower(lower_m.data(),
                                     lower_m.data() + rank * rank);
     // Row counts around the 4-, 8- and 16-lane block widths.
@@ -613,6 +733,78 @@ TEST(KernelsQuantizedTest, ZeroColumnsQuantizeExactlyInInt8) {
   const Matrix back = Dequantize(q);
   for (size_t r = 0; r < 9; ++r) {
     for (size_t c = 0; c < 3; ++c) EXPECT_EQ(back.At(r, c), 0.0);
+  }
+}
+
+/// QuantizeInt8 before the one-pass column maxima and the inlined
+/// rounding, copied verbatim: the byte-level reference.
+Int8Matrix QuantizeInt8Reference(const Matrix& source) {
+  Int8Matrix q;
+  q.rows = source.rows();
+  q.cols = source.cols();
+  q.data.resize(q.rows * q.cols);
+  q.col_scale.assign(q.cols, 0.0);
+  q.col_max_abs_err.assign(q.cols, 0.0);
+  if (q.data.empty()) return q;
+  for (size_t c = 0; c < q.cols; ++c) {
+    double max_abs = 0.0;
+    for (size_t r = 0; r < q.rows; ++r) {
+      const double a = std::abs(source(r, c));
+      if (a > max_abs) max_abs = a;
+    }
+    q.col_scale[c] = max_abs > 0.0 ? max_abs / 127.0 : 0.0;
+  }
+  for (size_t r = 0; r < q.rows; ++r) {
+    const double* src = source.RowPtr(r);
+    int8_t* dst = q.data.data() + r * q.cols;
+    for (size_t c = 0; c < q.cols; ++c) {
+      const double scale = q.col_scale[c];
+      double code = 0.0;
+      if (scale > 0.0) {
+        code = std::nearbyint(src[c] / scale);
+        if (code > 127.0) code = 127.0;
+        if (code < -127.0) code = -127.0;
+      }
+      dst[c] = static_cast<int8_t>(code);
+      const double err = std::abs(src[c] - code * scale);
+      if (err > q.col_max_abs_err[c]) q.col_max_abs_err[c] = err;
+    }
+  }
+  return q;
+}
+
+TEST(KernelsQuantizedTest, Int8MatchesColumnWiseNearbyintReference) {
+  Rng rng(31);
+  std::vector<Matrix> inputs;
+  inputs.push_back(Matrix::RandomGaussian(1000, 10, rng));
+  inputs.push_back(Matrix::RandomGaussian(37, 3, rng));
+  // All-zero columns (with a -0.0) next to live ones.
+  Matrix zeros = Matrix::RandomGaussian(50, 4, rng);
+  for (size_t r = 0; r < zeros.rows(); ++r) {
+    zeros(r, 0) = 0.0;
+    zeros(r, 2) = r == 7 ? -0.0 : 0.0;
+  }
+  inputs.push_back(zeros);
+  // Exact .5 ties: the first column's max is 127 (scale 1), the second's
+  // 254 (scale 2), so every value lands on k + 0.5 and must round to even;
+  // -0.4 and -0.0 exercise the sign of zero codes.
+  const double ties[] = {0.5,   1.5,  2.5,  -0.5, -1.5, -2.5, 126.5,
+                         -126.5, 3.5, -3.5, -0.4, -0.0, 127.0};
+  Matrix tied(std::size(ties), 2);
+  for (size_t r = 0; r < tied.rows(); ++r) {
+    tied(r, 0) = ties[r];
+    tied(r, 1) = r + 1 == tied.rows() ? 254.0 : 2.0 * ties[r];
+  }
+  inputs.push_back(tied);
+  inputs.push_back(Matrix(0, 5));
+  for (const Matrix& source : inputs) {
+    const Int8Matrix want = QuantizeInt8Reference(source);
+    const Int8Matrix got = QuantizeInt8(source);
+    EXPECT_EQ(got.rows, want.rows);
+    EXPECT_EQ(got.cols, want.cols);
+    EXPECT_EQ(got.data, want.data) << source.rows() << "x" << source.cols();
+    EXPECT_TRUE(SameBits(want.col_scale, got.col_scale));
+    EXPECT_TRUE(SameBits(want.col_max_abs_err, got.col_max_abs_err));
   }
 }
 
