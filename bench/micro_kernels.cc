@@ -289,14 +289,16 @@ void BM_RowGram(benchmark::State& state) {
 BENCHMARK(BM_RowGram)->Arg(0)->Arg(1);
 
 void BM_RowGroupedMttkrp(benchmark::State& state) {
-  // Row-grouped MTTKRP (entries sorted by output row, Zipf row sizes): arg
-  // 0 makes one single-entry mttkrp_coo call per non-zero, arg 1 one
-  // mttkrp_coo call over the grouped COO, arg 2 one mttkrp_rows call over
-  // the same entries as one part's row runs (the step's partition data).
+  // Row-grouped MTTKRP (entries sorted by output row, Zipf row sizes). The
+  // first arg picks the call: 0 one single-entry mttkrp_coo call per
+  // non-zero, 1 one mttkrp_coo call over the grouped COO, 2 one
+  // mttkrp_rows call over the same entries as one part's row runs (the
+  // step's partition data). The second arg is the rank: 8 and 16 are whole
+  // 8-column blocks, 10 and 17 leave a 2- and a 1-column tail.
   // ns_per_row here is per non-zero.
   const kernels::KernelTable& kern = kernels::Get();
   const int64_t variant = state.range(0);
-  const size_t rank = kRowBenchRank;
+  const size_t rank = static_cast<size_t>(state.range(1));
   SparseTensor tensor = MakeTensor(100000);
   tensor.SortLexicographic();
   const ModePartitionData runs = BuildModePartitionData(
@@ -330,7 +332,7 @@ void BM_RowGroupedMttkrp(benchmark::State& state) {
   }
   SetNsPerRow(state, nnz);
 }
-BENCHMARK(BM_RowGroupedMttkrp)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_RowGroupedMttkrp)->ArgsProduct({{0, 1, 2}, {8, 10, 16, 17}});
 
 void BM_Partitioner(benchmark::State& state) {
   const size_t slices = static_cast<size_t>(state.range(0));

@@ -1,7 +1,9 @@
 #include "common/random.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "common/status.h"
 
@@ -85,11 +87,26 @@ ZipfSampler::ZipfSampler(uint64_t n, double exponent)
   }
   for (auto& c : cdf_) c /= acc;
   cdf_.back() = 1.0;  // guard against rounding drift
+  // About one bucket per value, at most 2^20. With a power-of-two count,
+  // u * buckets and b / buckets are exact, so bucket b holds exactly the u
+  // in [b / buckets, (b + 1) / buckets).
+  DISMASTD_CHECK(n <= std::numeric_limits<uint32_t>::max());
+  const uint64_t buckets = std::bit_ceil(std::min<uint64_t>(n, 1u << 20));
+  buckets_ = static_cast<double>(buckets);
+  guide_.resize(buckets + 1);
+  uint32_t i = 0;
+  for (uint64_t b = 0; b <= buckets; ++b) {
+    const double bound = static_cast<double>(b) / buckets_;
+    while (cdf_[i] < bound) ++i;  // stops at the last entry, 1.0
+    guide_[b] = i;
+  }
 }
 
 uint64_t ZipfSampler::Sample(Rng& rng) const {
   const double u = rng.NextDouble();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+  const size_t b = static_cast<size_t>(u * buckets_);
+  const auto it = std::lower_bound(cdf_.begin() + guide_[b],
+                                   cdf_.begin() + guide_[b + 1], u);
   return static_cast<uint64_t>(std::distance(cdf_.begin(), it));
 }
 

@@ -41,7 +41,9 @@ class Rng {
 
 /// Zipf(s) sampler over {0, 1, ..., n-1} using the inverse-CDF on a
 /// precomputed table. Exponent s = 0 degenerates to uniform. Used to model
-/// the skewed non-zero distribution of real rating tensors.
+/// the skewed non-zero distribution of real rating tensors. A guide table
+/// narrows each draw's search to the CDF entries of one bucket of u, so
+/// every draw returns exactly std::lower_bound(cdf, u) in a few probes.
 class ZipfSampler {
  public:
   /// `n` must be >= 1; `exponent` >= 0.
@@ -57,6 +59,11 @@ class ZipfSampler {
   uint64_t n_;
   double exponent_;
   std::vector<double> cdf_;  // normalized cumulative weights
+  /// guide_[b] = std::lower_bound(cdf_, b / buckets) for b in [0, buckets],
+  /// buckets a power of two, so the answer for u in [b, b + 1) / buckets
+  /// lies in [guide_[b], guide_[b + 1]].
+  std::vector<uint32_t> guide_;
+  double buckets_ = 1.0;
 };
 
 }  // namespace dismastd

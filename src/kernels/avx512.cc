@@ -49,64 +49,180 @@ void HadamardCombineAvx512(const double* const* rows, size_t num_rows,
   }
 }
 
-/// Lane mask covering columns [f, min(f + 8, rank)): full blocks use all
-/// eight lanes, the last block masks off the columns past `rank`, so the
-/// remainder runs through the same vector code (masked lanes are neither
-/// loaded nor stored, and the active lanes see exactly the scalar ops).
+/// Lane mask covering columns [f, min(f + 8, rank)): 0xFF for a full block,
+/// the low rank - f bits for the last one. The row kernels below use it
+/// only as the in-width mask of a tail (see Cols); the per-column numerator
+/// of ranks above 16 (BlockedDotColumns8), the sign encode and the Hamming
+/// scan still run their last block as a masked 512-bit access.
 inline __mmask8 ColumnMask(size_t f, size_t rank) {
   const size_t left = rank - f;
   return left >= 8 ? static_cast<__mmask8>(0xFF)
                    : static_cast<__mmask8>((1u << left) - 1u);
 }
 
+/// How the row kernels load and store one block of at most 8 columns of an
+/// R-wide row: a full block as one unmasked zmm, a tail of t < 8 columns
+/// at the narrowest width that covers it (xmm for t <= 2, ymm for t <= 4,
+/// zmm otherwise), masked within that width, and no block not at all. The
+/// value is always a zmm whose lanes past the block are zero, exactly what
+/// a 512-bit masked load gives, so every lane sees the same operations
+/// whatever the width. (A 512-bit masked tail at R = 10 measured about 1.6x
+/// slower in the row-run MTTKRP than a 128-bit one.)
+enum class Cols { kNone, kXmm, kYmm, kZmm, kFull };
+
+/// The class of a block of n columns, 1 <= n <= 8.
+constexpr Cols BlockCols(size_t n) {
+  return n == 8 ? Cols::kFull
+         : n > 4 ? Cols::kZmm
+         : n > 2 ? Cols::kYmm
+                 : Cols::kXmm;
+}
+
+/// The first column of a rank-column row's last 16-column chunk (rank >= 1).
+inline size_t LastChunkBegin(size_t rank) { return rank - (rank - 1) % 16 - 1; }
+
+// GCC 12's zext/cast intrinsics pass a self-initialized "undefined" vector
+// to their builtins, which -Wuninitialized flags once inlined (GCC PR105593,
+// the header noise the -Wno-maybe-uninitialized flag of this file covers).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+template <Cols kCols>
+__attribute__((always_inline)) inline __m512d LoadCols(const double* p,
+                                                       __mmask8 mask) {
+  if constexpr (kCols == Cols::kNone) {
+    return _mm512_setzero_pd();
+  } else if constexpr (kCols == Cols::kXmm) {
+    return _mm512_zextpd128_pd512(_mm_maskz_loadu_pd(mask, p));
+  } else if constexpr (kCols == Cols::kYmm) {
+    return _mm512_zextpd256_pd512(_mm256_maskz_loadu_pd(mask, p));
+  } else if constexpr (kCols == Cols::kZmm) {
+    return _mm512_maskz_loadu_pd(mask, p);
+  } else {
+    return _mm512_loadu_pd(p);
+  }
+}
+
+template <Cols kCols>
+__attribute__((always_inline)) inline void StoreCols(double* p, __mmask8 mask,
+                                                     __m512d v) {
+  // The empty asm keeps the low part in a register: GCC would otherwise
+  // fold the cast and the store into a masked VEXTRACTF64X4 (or X2) to
+  // memory, which faults on masked-off lanes past the row's end.
+  if constexpr (kCols == Cols::kXmm) {
+    __m128d low = _mm512_castpd512_pd128(v);
+    asm("" : "+v"(low));
+    _mm_mask_storeu_pd(p, mask, low);
+  } else if constexpr (kCols == Cols::kYmm) {
+    __m256d low = _mm512_castpd512_pd256(v);
+    asm("" : "+v"(low));
+    _mm256_mask_storeu_pd(p, mask, low);
+  } else if constexpr (kCols == Cols::kZmm) {
+    _mm512_mask_storeu_pd(p, mask, v);
+  } else if constexpr (kCols == Cols::kFull) {
+    _mm512_storeu_pd(p, v);
+  }
+}
+#pragma GCC diagnostic pop
+
+/// The row kernels walk a row in chunks of 16 columns, two blocks each;
+/// every chunk but the last is two full blocks. Calls
+/// body.template operator()<kLo, kHi>() with the classes of the last
+/// chunk's two blocks (rank >= 1), so the loops inside run branch-free.
+template <typename Body>
+__attribute__((always_inline)) inline void WithLastChunk(size_t rank,
+                                                         Body&& body) {
+  const size_t cols = rank - LastChunkBegin(rank);  // 1 to 16
+  if (cols <= 8) {
+    switch (BlockCols(cols)) {
+      case Cols::kXmm:
+        return body.template operator()<Cols::kXmm, Cols::kNone>();
+      case Cols::kYmm:
+        return body.template operator()<Cols::kYmm, Cols::kNone>();
+      case Cols::kZmm:
+        return body.template operator()<Cols::kZmm, Cols::kNone>();
+      default:
+        return body.template operator()<Cols::kFull, Cols::kNone>();
+    }
+  }
+  switch (BlockCols(cols - 8)) {
+    case Cols::kXmm:
+      return body.template operator()<Cols::kFull, Cols::kXmm>();
+    case Cols::kYmm:
+      return body.template operator()<Cols::kFull, Cols::kYmm>();
+    case Cols::kZmm:
+      return body.template operator()<Cols::kFull, Cols::kZmm>();
+    default:
+      return body.template operator()<Cols::kFull, Cols::kFull>();
+  }
+}
+
+/// Columns [f, f + 16) of MttkrpCooAvx512's pass, the blocks of classes
+/// kLo and kHi: the current output row stays in two accumulators while
+/// consecutive entries share it.
+template <Cols kLo, Cols kHi>
+void MttkrpCooChunkAvx512(const uint64_t* indices, const double* values,
+                          size_t nnz, size_t order, size_t mode,
+                          const double* const* factors, size_t rank, size_t f,
+                          double* out) {
+  const __mmask8 mask0 = ColumnMask(f, rank);
+  const __mmask8 mask1 =
+      f + 8 < rank ? ColumnMask(f + 8, rank) : static_cast<__mmask8>(0);
+  double* row = nullptr;
+  __m512d acc0 = _mm512_setzero_pd();
+  __m512d acc1 = _mm512_setzero_pd();
+  for (size_t e = 0; e < nnz; ++e) {
+    const uint64_t* idx = indices + e * order;
+    double* target = out + idx[mode] * rank + f;
+    if (target != row) {
+      if (row != nullptr) {
+        StoreCols<kLo>(row, mask0, acc0);
+        StoreCols<kHi>(row + 8, mask1, acc1);
+      }
+      row = target;
+      acc0 = LoadCols<kLo>(row, mask0);
+      acc1 = LoadCols<kHi>(row + 8, mask1);
+    }
+    __m512d v0 = _mm512_set1_pd(values[e]);
+    __m512d v1 = v0;
+    for (size_t m = 0; m < order; ++m) {
+      if (m == mode) continue;
+      const double* src = factors[m] + idx[m] * rank + f;
+      v0 = _mm512_mul_pd(v0, LoadCols<kLo>(src, mask0));
+      if constexpr (kHi != Cols::kNone) {
+        v1 = _mm512_mul_pd(v1, LoadCols<kHi>(src + 8, mask1));
+      }
+    }
+    acc0 = _mm512_add_pd(acc0, v0);
+    if constexpr (kHi != Cols::kNone) acc1 = _mm512_add_pd(acc1, v1);
+  }
+  if (row != nullptr) {
+    StoreCols<kLo>(row, mask0, acc0);
+    StoreCols<kHi>(row + 8, mask1, acc1);
+  }
+}
+
 void MttkrpCooAvx512(const uint64_t* indices, const double* values,
                      size_t nnz, size_t order, size_t mode,
                      const double* const* factors, size_t rank,
                      double* out) {
-  // Sixteen columns per pass over the entries: two 8-lane accumulators,
-  // the second (or both) masked down to the columns left.
-  for (size_t f = 0; f < rank; f += 16) {
-    const __mmask8 mask0 = ColumnMask(f, rank);
-    const __mmask8 mask1 =
-        f + 8 < rank ? ColumnMask(f + 8, rank) : static_cast<__mmask8>(0);
-    double* row = nullptr;
-    __m512d acc0 = _mm512_setzero_pd();
-    __m512d acc1 = _mm512_setzero_pd();
-    for (size_t e = 0; e < nnz; ++e) {
-      const uint64_t* idx = indices + e * order;
-      double* target = out + idx[mode] * rank + f;
-      if (target != row) {
-        if (row != nullptr) {
-          _mm512_mask_storeu_pd(row, mask0, acc0);
-          _mm512_mask_storeu_pd(row + 8, mask1, acc1);
-        }
-        row = target;
-        acc0 = _mm512_maskz_loadu_pd(mask0, row);
-        acc1 = _mm512_maskz_loadu_pd(mask1, row + 8);
-      }
-      __m512d v0 = _mm512_set1_pd(values[e]);
-      __m512d v1 = v0;
-      for (size_t m = 0; m < order; ++m) {
-        if (m == mode) continue;
-        const double* src = factors[m] + idx[m] * rank + f;
-        v0 = _mm512_mul_pd(v0, _mm512_maskz_loadu_pd(mask0, src));
-        v1 = _mm512_mul_pd(v1, _mm512_maskz_loadu_pd(mask1, src + 8));
-      }
-      acc0 = _mm512_add_pd(acc0, v0);
-      acc1 = _mm512_add_pd(acc1, v1);
+  // Sixteen columns per pass over the entries.
+  if (rank == 0) return;
+  WithLastChunk(rank, [&]<Cols kLo, Cols kHi>() {
+    const size_t last_chunk = LastChunkBegin(rank);
+    for (size_t f = 0; f < last_chunk; f += 16) {
+      MttkrpCooChunkAvx512<Cols::kFull, Cols::kFull>(
+          indices, values, nnz, order, mode, factors, rank, f, out);
     }
-    if (row != nullptr) {
-      _mm512_mask_storeu_pd(row, mask0, acc0);
-      _mm512_mask_storeu_pd(row + 8, mask1, acc1);
-    }
-  }
+    MttkrpCooChunkAvx512<kLo, kHi>(indices, values, nnz, order, mode,
+                                   factors, rank, last_chunk, out);
+  });
 }
 
-/// Adds entry e's product into acc0/acc1, columns [f, f + 16) with the
-/// lanes past `rank` masked off: the value times the entry's factor rows in
+/// Adds entry e's product into acc0/acc1, columns [f, f + 16) in blocks of
+/// classes kLo and kHi: the value times the entry's factor rows in
 /// ascending mode order, as MttkrpCooAvx512 forms it. kOthers is the number
 /// of modes other than `mode`, or 0 to read it from `others`.
-template <size_t kOthers>
+template <size_t kOthers, Cols kLo, Cols kHi>
 __attribute__((always_inline)) inline void AddRunEntryAvx512(
     size_t e, const uint32_t* indices, const double* values, size_t others,
     size_t mode, const double* const* factors, size_t rank, size_t f,
@@ -118,38 +234,59 @@ __attribute__((always_inline)) inline void AddRunEntryAvx512(
   for (size_t t = 0; t < n; ++t) {
     const double* src = factors[t < mode ? t : t + 1] +
                         static_cast<size_t>(idx[t]) * rank + f;
-    v0 = _mm512_mul_pd(v0, _mm512_maskz_loadu_pd(mask0, src));
-    v1 = _mm512_mul_pd(v1, _mm512_maskz_loadu_pd(mask1, src + 8));
+    v0 = _mm512_mul_pd(v0, LoadCols<kLo>(src, mask0));
+    if constexpr (kHi != Cols::kNone) {
+      v1 = _mm512_mul_pd(v1, LoadCols<kHi>(src + 8, mask1));
+    }
   }
   *acc0 = _mm512_add_pd(*acc0, v0);
-  *acc1 = _mm512_add_pd(*acc1, v1);
+  if constexpr (kHi != Cols::kNone) *acc1 = _mm512_add_pd(*acc1, v1);
 }
 
-/// One run at a time, the output row's columns [f, f + 16) held in two
-/// accumulators across the run. (Pairing two runs' independent chains
-/// measured no faster: the factor-row loads, not the additions, bound it.)
-template <size_t kOthers>
+/// Columns [f, f + 16) of one run, the output row held in two
+/// accumulators across the run.
+template <size_t kOthers, Cols kLo, Cols kHi>
+__attribute__((always_inline)) inline void MttkrpRunChunkAvx512(
+    double* row, size_t begin, size_t end, const uint32_t* indices,
+    const double* values, size_t others, size_t mode,
+    const double* const* factors, size_t rank, size_t f, __mmask8 mask0,
+    __mmask8 mask1) {
+  __m512d acc0 = LoadCols<kLo>(row + f, mask0);
+  __m512d acc1 = LoadCols<kHi>(row + f + 8, mask1);
+  for (size_t e = begin; e < end; ++e) {
+    AddRunEntryAvx512<kOthers, kLo, kHi>(e, indices, values, others, mode,
+                                         factors, rank, f, mask0, mask1,
+                                         &acc0, &acc1);
+  }
+  StoreCols<kLo>(row + f, mask0, acc0);
+  StoreCols<kHi>(row + f + 8, mask1, acc1);
+}
+
+/// One run at a time, 16 columns at a time, the last chunk's blocks of
+/// classes kLo and kHi. (Pairing two runs' independent chains measured no
+/// faster: the factor-row loads, not the additions, bound it.)
+template <size_t kOthers, Cols kLo, Cols kHi>
 void MttkrpRowsAvx512Impl(const uint32_t* rows, const uint32_t* row_begin,
                           size_t num_rows, const uint32_t* indices,
                           const double* values, size_t order, size_t mode,
                           const double* const* factors, size_t rank,
                           double* out) {
   const size_t others = order - 1;
+  const size_t last_chunk = LastChunkBegin(rank);
+  const __mmask8 mask0 = ColumnMask(last_chunk, rank);
+  const __mmask8 mask1 = last_chunk + 8 < rank
+                             ? ColumnMask(last_chunk + 8, rank)
+                             : static_cast<__mmask8>(0);
   for (size_t j = 0; j < num_rows; ++j) {
     double* row = out + static_cast<size_t>(rows[j]) * rank;
-    for (size_t f = 0; f < rank; f += 16) {
-      const __mmask8 mask0 = ColumnMask(f, rank);
-      const __mmask8 mask1 =
-          f + 8 < rank ? ColumnMask(f + 8, rank) : static_cast<__mmask8>(0);
-      __m512d acc0 = _mm512_maskz_loadu_pd(mask0, row + f);
-      __m512d acc1 = _mm512_maskz_loadu_pd(mask1, row + f + 8);
-      for (size_t e = row_begin[j]; e < row_begin[j + 1]; ++e) {
-        AddRunEntryAvx512<kOthers>(e, indices, values, others, mode, factors,
-                                   rank, f, mask0, mask1, &acc0, &acc1);
-      }
-      _mm512_mask_storeu_pd(row + f, mask0, acc0);
-      _mm512_mask_storeu_pd(row + f + 8, mask1, acc1);
+    for (size_t f = 0; f < last_chunk; f += 16) {
+      MttkrpRunChunkAvx512<kOthers, Cols::kFull, Cols::kFull>(
+          row, row_begin[j], row_begin[j + 1], indices, values, others, mode,
+          factors, rank, f, 0xFF, 0xFF);
     }
+    MttkrpRunChunkAvx512<kOthers, kLo, kHi>(
+        row, row_begin[j], row_begin[j + 1], indices, values, others, mode,
+        factors, rank, last_chunk, mask0, mask1);
   }
 }
 
@@ -158,19 +295,24 @@ void MttkrpRowsAvx512(const uint32_t* rows, const uint32_t* row_begin,
                       const double* values, size_t order, size_t mode,
                       const double* const* factors, size_t rank,
                       double* out) {
-  if (order == 3) {
-    MttkrpRowsAvx512Impl<2>(rows, row_begin, num_rows, indices, values, order,
-                            mode, factors, rank, out);
-  } else {
-    MttkrpRowsAvx512Impl<0>(rows, row_begin, num_rows, indices, values, order,
-                            mode, factors, rank, out);
-  }
+  if (rank == 0) return;
+  WithLastChunk(rank, [&]<Cols kLo, Cols kHi>() {
+    if (order == 3) {
+      MttkrpRowsAvx512Impl<2, kLo, kHi>(rows, row_begin, num_rows, indices,
+                                        values, order, mode, factors, rank,
+                                        out);
+    } else {
+      MttkrpRowsAvx512Impl<0, kLo, kHi>(rows, row_begin, num_rows, indices,
+                                        values, order, mode, factors, rank,
+                                        out);
+    }
+  });
 }
 
 /// Adds rows [j0, j1) into output rows [i0, i0 + kRows), columns
-/// [c, c + 16) (lanes past `rank` masked off): 2 * kRows independent
+/// [c, c + 16) in blocks of classes kLo and kHi: 2 * kRows independent
 /// accumulator chains, each seeing its additions in row order.
-template <size_t kRows>
+template <size_t kRows, Cols kLo, Cols kHi>
 inline void GramTileAvx512(const double* x, const double* y,
                            const uint64_t* rows, size_t j0, size_t j1,
                            size_t rank, size_t i0, size_t c, double* out) {
@@ -179,22 +321,47 @@ inline void GramTileAvx512(const double* x, const double* y,
       c + 8 < rank ? ColumnMask(c + 8, rank) : static_cast<__mmask8>(0);
   __m512d acc0[kRows], acc1[kRows];
   for (size_t u = 0; u < kRows; ++u) {
-    acc0[u] = _mm512_maskz_loadu_pd(mask0, out + (i0 + u) * rank + c);
-    acc1[u] = _mm512_maskz_loadu_pd(mask1, out + (i0 + u) * rank + c + 8);
+    acc0[u] = LoadCols<kLo>(out + (i0 + u) * rank + c, mask0);
+    acc1[u] = LoadCols<kHi>(out + (i0 + u) * rank + c + 8, mask1);
   }
   for (size_t j = j0; j < j1; ++j) {
     const size_t base = rows[j] * rank;
-    const __m512d y0 = _mm512_maskz_loadu_pd(mask0, y + base + c);
-    const __m512d y1 = _mm512_maskz_loadu_pd(mask1, y + base + c + 8);
+    const __m512d y0 = LoadCols<kLo>(y + base + c, mask0);
+    const __m512d y1 = LoadCols<kHi>(y + base + c + 8, mask1);
     for (size_t u = 0; u < kRows; ++u) {
       const __m512d xb = _mm512_set1_pd(x[base + i0 + u]);
       acc0[u] = _mm512_add_pd(acc0[u], _mm512_mul_pd(xb, y0));
-      acc1[u] = _mm512_add_pd(acc1[u], _mm512_mul_pd(xb, y1));
+      if constexpr (kHi != Cols::kNone) {
+        acc1[u] = _mm512_add_pd(acc1[u], _mm512_mul_pd(xb, y1));
+      }
     }
   }
   for (size_t u = 0; u < kRows; ++u) {
-    _mm512_mask_storeu_pd(out + (i0 + u) * rank + c, mask0, acc0[u]);
-    _mm512_mask_storeu_pd(out + (i0 + u) * rank + c + 8, mask1, acc1[u]);
+    StoreCols<kLo>(out + (i0 + u) * rank + c, mask0, acc0[u]);
+    StoreCols<kHi>(out + (i0 + u) * rank + c + 8, mask1, acc1[u]);
+  }
+}
+
+/// Output rows [0, rank) in tiles of 4 over columns [c, c + 16).
+template <Cols kLo, Cols kHi>
+inline void GramChunkAvx512(const double* x, const double* y,
+                            const uint64_t* rows, size_t j0, size_t j1,
+                            size_t rank, size_t c, double* out) {
+  for (size_t i0 = 0; i0 < rank; i0 += 4) {
+    switch (std::min<size_t>(4, rank - i0)) {
+      case 4:
+        GramTileAvx512<4, kLo, kHi>(x, y, rows, j0, j1, rank, i0, c, out);
+        break;
+      case 3:
+        GramTileAvx512<3, kLo, kHi>(x, y, rows, j0, j1, rank, i0, c, out);
+        break;
+      case 2:
+        GramTileAvx512<2, kLo, kHi>(x, y, rows, j0, j1, rank, i0, c, out);
+        break;
+      default:
+        GramTileAvx512<1, kLo, kHi>(x, y, rows, j0, j1, rank, i0, c, out);
+        break;
+    }
   }
 }
 
@@ -203,28 +370,19 @@ void GramUpdateRowsAvx512(const double* x, const double* y,
                           double* out) {
   // Tiles of 4 output rows x 16 columns run over a cache-resident block of
   // input rows with their accumulators in registers.
+  if (rank == 0) return;
   constexpr size_t kRowBlock = 128;
-  for (size_t j0 = 0; j0 < num_rows; j0 += kRowBlock) {
-    const size_t j1 = std::min(num_rows, j0 + kRowBlock);
-    for (size_t c = 0; c < rank; c += 16) {
-      for (size_t i0 = 0; i0 < rank; i0 += 4) {
-        switch (std::min<size_t>(4, rank - i0)) {
-          case 4:
-            GramTileAvx512<4>(x, y, rows, j0, j1, rank, i0, c, out);
-            break;
-          case 3:
-            GramTileAvx512<3>(x, y, rows, j0, j1, rank, i0, c, out);
-            break;
-          case 2:
-            GramTileAvx512<2>(x, y, rows, j0, j1, rank, i0, c, out);
-            break;
-          default:
-            GramTileAvx512<1>(x, y, rows, j0, j1, rank, i0, c, out);
-            break;
-        }
+  WithLastChunk(rank, [&]<Cols kLo, Cols kHi>() {
+    const size_t last_chunk = LastChunkBegin(rank);
+    for (size_t j0 = 0; j0 < num_rows; j0 += kRowBlock) {
+      const size_t j1 = std::min(num_rows, j0 + kRowBlock);
+      for (size_t c = 0; c < last_chunk; c += 16) {
+        GramChunkAvx512<Cols::kFull, Cols::kFull>(x, y, rows, j0, j1, rank, c,
+                                                  out);
       }
+      GramChunkAvx512<kLo, kHi>(x, y, rows, j0, j1, rank, last_chunk, out);
     }
-  }
+  });
 }
 
 /// The blocked-8 dots of x (n doubles) against columns [c, c + 8) of the
@@ -621,7 +779,9 @@ constexpr size_t kFusedBlock = 8 * kFusedGroups;
 
 /// Rows rows[0, count) (count <= 8) of the row-major `rank`-column m,
 /// transposed: column i of the 8-row group lands in lanes + i * kFusedBlock
-/// (lanes past count are zero).
+/// (lanes past count are zero). Columns [0, 8) and [8, rank) are blocks of
+/// classes kLo and kHi.
+template <Cols kLo, Cols kHi>
 inline void GatherColumns(const double* m, const uint64_t* rows, size_t count,
                           size_t rank, double* lanes) {
   const __mmask8 lo = ColumnMask(0, rank);
@@ -633,15 +793,15 @@ inline void GatherColumns(const double* m, const uint64_t* rows, size_t count,
     b[l] = _mm512_setzero_pd();
     if (l < count) {
       const double* row = m + rows[l] * rank;
-      a[l] = _mm512_maskz_loadu_pd(lo, row);
-      b[l] = _mm512_maskz_loadu_pd(hi, row + 8);
+      a[l] = LoadCols<kLo>(row, lo);
+      b[l] = LoadCols<kHi>(row + 8, hi);
     }
   }
   Transpose8x8(a);
   for (size_t i = 0; i < 8 && i < rank; ++i) {
     _mm512_storeu_pd(lanes + i * kFusedBlock, a[i]);
   }
-  if (rank > 8) {
+  if constexpr (kHi != Cols::kNone) {
     Transpose8x8(b);
     for (size_t i = 8; i < rank; ++i) {
       _mm512_storeu_pd(lanes + i * kFusedBlock, b[i - 8]);
@@ -691,8 +851,9 @@ inline void NumeratorColumns(const double* prev_lanes, const double* had_h,
 /// with the previous rows transposed in prev_lanes, or none when null) in
 /// row order, the accumulators held in registers across the group. kFull
 /// groups have all 8 rows, so the row loops unroll and the transposed rows
-/// stay in registers.
-template <bool kFull>
+/// stay in registers. Every R-wide row (factor, gram and cross) is
+/// accessed in blocks of classes kLo and kHi.
+template <bool kFull, Cols kLo, Cols kHi>
 __attribute__((always_inline)) inline void WriteBackAndGram(
     const double* lanes, const double* prev_lanes, const uint64_t* rows,
     size_t count, size_t rank, double* factor, double* gram, double* cross) {
@@ -708,34 +869,38 @@ __attribute__((always_inline)) inline void WriteBackAndGram(
                         : _mm512_setzero_pd();
   }
   Transpose8x8(a);
-  if (rank > 8) Transpose8x8(b);
+  if constexpr (kHi != Cols::kNone) Transpose8x8(b);
   for (size_t l = 0; l < n; ++l) {
     double* row = factor + rows[l] * rank;
-    _mm512_mask_storeu_pd(row, lo, a[l]);
-    _mm512_mask_storeu_pd(row + 8, hi, b[l]);
+    StoreCols<kLo>(row, lo, a[l]);
+    StoreCols<kHi>(row + 8, hi, b[l]);
   }
   for (size_t i = 0; i < rank; ++i) {
     double* g = gram + i * rank;
-    __m512d g0 = _mm512_maskz_loadu_pd(lo, g);
-    __m512d g1 = _mm512_maskz_loadu_pd(hi, g + 8);
+    __m512d g0 = LoadCols<kLo>(g, lo);
+    __m512d g1 = LoadCols<kHi>(g + 8, hi);
     for (size_t l = 0; l < n; ++l) {
       const __m512d zi = _mm512_set1_pd(lanes[i * kFusedBlock + l]);
       g0 = _mm512_add_pd(g0, _mm512_mul_pd(zi, a[l]));
-      g1 = _mm512_add_pd(g1, _mm512_mul_pd(zi, b[l]));
+      if constexpr (kHi != Cols::kNone) {
+        g1 = _mm512_add_pd(g1, _mm512_mul_pd(zi, b[l]));
+      }
     }
-    _mm512_mask_storeu_pd(g, lo, g0);
-    _mm512_mask_storeu_pd(g + 8, hi, g1);
+    StoreCols<kLo>(g, lo, g0);
+    StoreCols<kHi>(g + 8, hi, g1);
     if (prev_lanes == nullptr) continue;
     double* h = cross + i * rank;
-    __m512d h0 = _mm512_maskz_loadu_pd(lo, h);
-    __m512d h1 = _mm512_maskz_loadu_pd(hi, h + 8);
+    __m512d h0 = LoadCols<kLo>(h, lo);
+    __m512d h1 = LoadCols<kHi>(h + 8, hi);
     for (size_t l = 0; l < n; ++l) {
       const __m512d pi = _mm512_set1_pd(prev_lanes[i * kFusedBlock + l]);
       h0 = _mm512_add_pd(h0, _mm512_mul_pd(pi, a[l]));
-      h1 = _mm512_add_pd(h1, _mm512_mul_pd(pi, b[l]));
+      if constexpr (kHi != Cols::kNone) {
+        h1 = _mm512_add_pd(h1, _mm512_mul_pd(pi, b[l]));
+      }
     }
-    _mm512_mask_storeu_pd(h, lo, h0);
-    _mm512_mask_storeu_pd(h + 8, hi, h1);
+    StoreCols<kLo>(h, lo, h0);
+    StoreCols<kHi>(h + 8, hi, h1);
   }
 }
 
@@ -745,7 +910,9 @@ __attribute__((always_inline)) inline void WriteBackAndGram(
 /// groups are solved together in the transposed block, and the solved rows
 /// are transposed back, written to the factor and added into the Gram
 /// partials while still in registers. Each lane runs the scalar
-/// reference's operation sequence, so the bits are the composition's.
+/// reference's operation sequence, so the bits are the composition's. The
+/// row's one 16-column chunk has blocks of classes kLo and kHi.
+template <Cols kLo, Cols kHi>
 void UpdateRowsFusedAvx512(const uint64_t* rows, size_t num_rows, size_t rank,
                            const double* prev, const double* had_h, double mu,
                            const double* mttkrp, const double* lower,
@@ -762,15 +929,17 @@ void UpdateRowsFusedAvx512(const uint64_t* rows, size_t num_rows, size_t rank,
       detail::PrefetchRow(factor + offset, rank, true);
     }
     for (size_t g = 0; prev != nullptr && g * 8 < width; ++g) {
-      GatherColumns(prev, rows + j0 + 8 * g, std::min<size_t>(8, width - 8 * g),
-                    rank, prev_lanes + 8 * g);
+      GatherColumns<kLo, kHi>(prev, rows + j0 + 8 * g,
+                              std::min<size_t>(8, width - 8 * g), rank,
+                              prev_lanes + 8 * g);
     }
     if (lower == nullptr) {
       std::fill(lanes, lanes + rank * kFusedBlock, 0.0);
     } else {
       for (size_t g = 0; g * 8 < width; ++g) {
-        GatherColumns(mttkrp, rows + j0 + 8 * g,
-                      std::min<size_t>(8, width - 8 * g), rank, lanes + 8 * g);
+        GatherColumns<kLo, kHi>(mttkrp, rows + j0 + 8 * g,
+                                std::min<size_t>(8, width - 8 * g), rank,
+                                lanes + 8 * g);
         if (prev != nullptr) {
           NumeratorColumns(prev_lanes + 8 * g, had_h, mu, rank,
                            lanes + 8 * g);
@@ -788,11 +957,13 @@ void UpdateRowsFusedAvx512(const uint64_t* rows, size_t num_rows, size_t rank,
       const size_t count = std::min<size_t>(8, width - 8 * g);
       const double* group_prev = prev != nullptr ? prev_lanes + 8 * g : nullptr;
       if (count == 8) {
-        WriteBackAndGram<true>(lanes + 8 * g, group_prev, rows + j0 + 8 * g, 8,
-                               rank, factor, gram, cross);
+        WriteBackAndGram<true, kLo, kHi>(lanes + 8 * g, group_prev,
+                                         rows + j0 + 8 * g, 8, rank, factor,
+                                         gram, cross);
       } else {
-        WriteBackAndGram<false>(lanes + 8 * g, group_prev, rows + j0 + 8 * g,
-                                count, rank, factor, gram, cross);
+        WriteBackAndGram<false, kLo, kHi>(lanes + 8 * g, group_prev,
+                                          rows + j0 + 8 * g, count, rank,
+                                          factor, gram, cross);
       }
     }
   }
@@ -802,9 +973,12 @@ void UpdateRowsAvx512(const uint64_t* rows, size_t num_rows, size_t rank,
                       const double* prev, const double* had_h, double mu,
                       const double* mttkrp, const double* lower,
                       double* factor, double* gram, double* cross) {
+  if (rank == 0) return;
   if (rank <= kFusedMaxRank) {
-    UpdateRowsFusedAvx512(rows, num_rows, rank, prev, had_h, mu, mttkrp,
-                          lower, factor, gram, cross);
+    WithLastChunk(rank, [&]<Cols kLo, Cols kHi>() {
+      UpdateRowsFusedAvx512<kLo, kHi>(rows, num_rows, rank, prev, had_h, mu,
+                                      mttkrp, lower, factor, gram, cross);
+    });
     return;
   }
   detail::UpdateRowsBlocked<16, RowTimesMatrixAvx512, CholeskySolveRowsAvx512,

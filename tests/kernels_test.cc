@@ -4,17 +4,21 @@
 // lanes and the blocked-8 tail fold. Quantized kernels are backend-invariant
 // and land within the documented error model of quantized.h.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "common/status.h"
 #include "kernels/kernels.h"
 #include "kernels/quantized.h"
 #include "la/matrix.h"
@@ -635,6 +639,143 @@ TEST(KernelsBatchedTest, CholeskySolveRowsMatchesPerRowLoop) {
             << BackendName(backend) << " in place, rank=" << rank
             << " rows=" << num_rows;
       }
+    }
+  }
+}
+
+/// A copy of `init` whose last element ends flush against a PROT_NONE
+/// page, so any access past it faults.
+class GuardedDoubles {
+ public:
+  explicit GuardedDoubles(const std::vector<double>& init) {
+    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    const size_t bytes = init.size() * sizeof(double);
+    span_ = (bytes + page - 1) / page * page + page;
+    void* base = mmap(nullptr, span_, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    DISMASTD_CHECK(base != MAP_FAILED);
+    base_ = static_cast<char*>(base);
+    char* guard = base_ + span_ - page;
+    DISMASTD_CHECK(mprotect(guard, page, PROT_NONE) == 0);
+    data_ = reinterpret_cast<double*>(guard) - init.size();
+    std::copy(init.begin(), init.end(), data_);
+    size_ = init.size();
+  }
+  GuardedDoubles(const GuardedDoubles&) = delete;
+  GuardedDoubles& operator=(const GuardedDoubles&) = delete;
+  ~GuardedDoubles() { munmap(base_, span_); }
+
+  double* data() { return data_; }
+  std::vector<double> ToVector() const {
+    return std::vector<double>(data_, data_ + size_);
+  }
+
+ private:
+  char* base_ = nullptr;
+  size_t span_ = 0;
+  double* data_ = nullptr;
+  size_t size_ = 0;
+};
+
+// Every row kernel with each matrix's last row ending flush against a
+// PROT_NONE page and that row in the row set: the vector tails must stop
+// at the row's end (masked-off lanes may not fault, a wider unmasked access
+// would), and the bits must still be the scalar table's.
+TEST(KernelsBatchedTest, RowKernelsStopAtTheLastRowsEnd) {
+  Rng rng(16);
+  const std::vector<uint64_t> dims = {9, 7, 5};
+  constexpr size_t kOrder = 3;
+  constexpr size_t kMode = 1;
+  std::vector<size_t> ranks(17);
+  std::iota(ranks.begin(), ranks.end(), size_t{1});
+  ranks.push_back(33);
+  const KernelTable& scalar = Get(Backend::kScalar);
+  for (size_t rank : ranks) {
+    // Entries in row runs over every output row, each mode's last row used.
+    std::vector<uint64_t> coo;
+    std::vector<uint32_t> run_rows, run_begin = {0}, indices;
+    for (uint64_t i = 0; i < dims[kMode]; ++i) {
+      run_rows.push_back(static_cast<uint32_t>(i));
+      for (size_t e = 0; e < 3; ++e) {
+        for (size_t m = 0; m < kOrder; ++m) {
+          const uint64_t idx =
+              m == kMode ? i : (e == 0 ? dims[m] - 1 : rng.NextBounded(dims[m]));
+          coo.push_back(idx);
+          if (m != kMode) indices.push_back(static_cast<uint32_t>(idx));
+        }
+      }
+      run_begin.push_back(static_cast<uint32_t>(run_begin.back() + 3));
+    }
+    const size_t nnz = run_begin.back();
+    const std::vector<double> values = RandomVector(nnz, rng);
+    std::vector<std::vector<double>> factors;
+    std::vector<const double*> plain_ptrs;
+    for (uint64_t d : dims) {
+      factors.push_back(RandomVector(d * rank, rng));
+      plain_ptrs.push_back(factors.back().data());
+    }
+    const std::vector<double> out0 = RandomVector(dims[kMode] * rank, rng);
+    const std::vector<uint64_t> rows = {3, 0, 8, 5};  // 8: the last row
+    const size_t table_rows = 9;
+    const std::vector<double> prev = RandomVector(table_rows * rank, rng);
+    const std::vector<double> mttkrp = RandomVector(table_rows * rank, rng);
+    const std::vector<double> factor0 = RandomVector(table_rows * rank, rng);
+    const std::vector<double> gram0 = RandomVector(rank * rank, rng);
+    const std::vector<double> cross0 = RandomVector(rank * rank, rng);
+    const std::vector<double> had_h = RandomVector(rank * rank, rng);
+    Matrix lower;
+    ASSERT_TRUE(CholeskyFactor(RandomSpdGram(rank, rng), &lower).ok());
+
+    std::vector<double> want_rows = out0;
+    scalar.mttkrp_rows(run_rows.data(), run_begin.data(), run_rows.size(),
+                       indices.data(), values.data(), kOrder, kMode,
+                       plain_ptrs.data(), rank, want_rows.data());
+    std::vector<double> want_coo = out0;
+    scalar.mttkrp_coo(coo.data(), values.data(), nnz, kOrder, kMode,
+                      plain_ptrs.data(), rank, want_coo.data());
+    std::vector<double> want_gram = gram0;
+    scalar.gram_update_rows(prev.data(), mttkrp.data(), rows.data(),
+                            rows.size(), rank, want_gram.data());
+    std::vector<double> want_factor = factor0;
+    std::vector<double> want_g = gram0;
+    std::vector<double> want_h = cross0;
+    scalar.update_rows(rows.data(), rows.size(), rank, prev.data(),
+                       had_h.data(), 0.37, mttkrp.data(), lower.data(),
+                       want_factor.data(), want_g.data(), want_h.data());
+
+    for (Backend backend : SupportedBackends()) {
+      const KernelTable& kern = Get(backend);
+      const std::string where = std::string(BackendName(backend)) +
+                                " rank=" + std::to_string(rank);
+      std::vector<std::unique_ptr<GuardedDoubles>> guarded;
+      std::vector<const double*> ptrs;
+      for (const std::vector<double>& f : factors) {
+        guarded.push_back(std::make_unique<GuardedDoubles>(f));
+        ptrs.push_back(guarded.back()->data());
+      }
+      GuardedDoubles got_rows(out0);
+      kern.mttkrp_rows(run_rows.data(), run_begin.data(), run_rows.size(),
+                       indices.data(), values.data(), kOrder, kMode,
+                       ptrs.data(), rank, got_rows.data());
+      EXPECT_TRUE(SameBits(want_rows, got_rows.ToVector())) << where;
+      GuardedDoubles got_coo(out0);
+      kern.mttkrp_coo(coo.data(), values.data(), nnz, kOrder, kMode,
+                      ptrs.data(), rank, got_coo.data());
+      EXPECT_TRUE(SameBits(want_coo, got_coo.ToVector())) << where;
+
+      GuardedDoubles g_prev(prev), g_mttkrp(mttkrp), got_gram(gram0);
+      kern.gram_update_rows(g_prev.data(), g_mttkrp.data(), rows.data(),
+                            rows.size(), rank, got_gram.data());
+      EXPECT_TRUE(SameBits(want_gram, got_gram.ToVector())) << where;
+
+      GuardedDoubles got_factor(factor0), got_g(gram0), got_h(cross0);
+      GuardedDoubles g_had_h(had_h);
+      kern.update_rows(rows.data(), rows.size(), rank, g_prev.data(),
+                       g_had_h.data(), 0.37, g_mttkrp.data(), lower.data(),
+                       got_factor.data(), got_g.data(), got_h.data());
+      EXPECT_TRUE(SameBits(want_factor, got_factor.ToVector())) << where;
+      EXPECT_TRUE(SameBits(want_g, got_g.ToVector())) << where;
+      EXPECT_TRUE(SameBits(want_h, got_h.ToVector())) << where;
     }
   }
 }
